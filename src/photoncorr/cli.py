@@ -263,7 +263,7 @@ def cmd_fit(args) -> int:
     stage1 = fit_stage1(counts, fit_cfg)
     fit = fit_stage2(counts, stage1, fit_cfg)
     if args.bootstrap:
-        g_err, d_err = bootstrap(counts, args.bootstrap, int(seed), fit_cfg)
+        g_err, d_err = bootstrap(counts, args.bootstrap, int(seed), fit_cfg, stage1)
         fit = dataclasses.replace(fit, g_error=g_err, distance_error=d_err)
     os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.json")

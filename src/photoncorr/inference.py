@@ -6,12 +6,17 @@ dark-count mean, and the crosstalk probability. Binomial loss acting on
 a thermal state is again thermal, with the mean scaled by the
 efficiency, so stage 1 can only identify the product
 ``efficiency * mean_photons`` (the detected mean); the coincidence
-structure in stage 2 splits it.
+structure in stage 2 splits it. It is a small smooth nonlinear
+least-squares problem, solved by a bounded trust-region method started
+from a moment solution.
 
 Stage 2 fits the full joint histogram with the degree of correlation and
 the source mean as the free parameters, holding the detected means,
 darks, and crosstalk from stage 1 fixed (the per-mode efficiency is
-``detected_mean / mean_photons``).
+``detected_mean / mean_photons``). For a fixed mean the model
+``B + g (A - B)`` is linear in ``g`` (``A`` the detected correlated
+component, ``B`` the detected product), so ``g`` is profiled out in
+closed form and only the mean is searched (variable projection).
 
 Bootstrap uncertainties assume Poissonian counting noise: every cell is
 replaced by an independent Poisson draw centered on the observed count
@@ -24,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize_scalar
 
 from .detector import (
     DetectorParams,
@@ -32,22 +37,39 @@ from .detector import (
     dark_matrix,
     loss_matrix,
 )
-from .distributions import JointDistribution, SourceParams, mixture_joint, thermal_pmf
+from .distributions import (
+    JointDistribution,
+    SourceParams,
+    mixture_joint,
+    pdc_joint,
+    product_joint,
+    thermal_pmf,
+)
 from .measures import product_distance, singular_spectrum
 from .montecarlo import CountsMatrix, normalize
 
 _DARK_MAX = 5.0
 _XTALK_MAX = 0.45
+# The stage-2 profile over the source mean can have two basins (at the
+# reference detectors, one at mean 0.1-1 and one at 4-5, either of which
+# may be the deeper), so the mean is first evaluated on this many
+# log-spaced points and a bounded search runs around every local minimum.
+_MEAN_GRID_POINTS = 12
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings shared by both fit stages.
+    """Solver settings shared by both fit stages.
 
     ``n_max`` is the photon-number truncation of the model distribution
     before the detector channel (the histogram's own range sets the
-    output truncation). ``convergence_tol`` is the absolute tolerance on
-    the objective decrease at which the simplex search stops.
+    output truncation). ``max_iterations`` caps each solver run: the
+    stage-1 least-squares steps and the evaluations of each stage-2 mean
+    search. ``convergence_tol`` is the relative tolerance at which the
+    solvers stop: stage 1 when a step lowers the objective, or moves the
+    parameters, by less than this fraction; stage 2 when its bracket on
+    ``log(mean)`` is narrower than the square root of it (the objective
+    is quadratic near a minimum).
     """
 
     max_iterations: int = 4000
@@ -92,10 +114,11 @@ class FitResult:
 
 
 class FitConvergenceError(RuntimeError):
-    """Raised when the simplex search exhausts its iteration budget.
+    """Raised when a fit stage exhausts its evaluation budget.
 
-    ``best`` carries the best parameter estimate reached so far, so a
-    caller can inspect or reuse it.
+    ``best`` carries the best parameter estimate reached so far (the six
+    stage-1 parameters, or ``(g, mean)`` for stage 2), so a caller can
+    inspect or reuse it.
     """
 
     def __init__(self, message: str, best=None, objective: float | None = None):
@@ -108,44 +131,6 @@ def _weights(counts: CountsMatrix, config: FitConfig) -> np.ndarray:
     if config.weighting == "poisson":
         return 1.0 / np.maximum(counts.counts, 1)
     return np.ones_like(counts.counts, dtype=float)
-
-
-def _minimize(objective, x0, bounds, config: FitConfig, trace: list | None = None):
-    """Nelder-Mead with restarts; raises FitConvergenceError on budget exhaustion."""
-    best = [np.inf, None]
-
-    def tracked(x):
-        val = objective(x)
-        if val < best[0]:
-            best[0], best[1] = val, np.array(x)
-        if trace is not None:
-            trace.append(best[0])
-        return val
-
-    x = np.asarray(x0, dtype=float)
-    result = None
-    for _ in range(3):
-        result = minimize(
-            tracked,
-            x,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "maxiter": config.max_iterations,
-                "fatol": config.convergence_tol,
-                "xatol": 1e-10,
-            },
-        )
-        x = result.x
-        if result.success:
-            break
-    if result is None or not result.success:
-        raise FitConvergenceError(
-            f"simplex search did not converge within {config.max_iterations} iterations",
-            best=best[1],
-            objective=best[0],
-        )
-    return best[1], best[0]
 
 
 def _detected_marginal(
@@ -172,40 +157,59 @@ def fit_stage1(
     """Fit the product of the empirical marginals with the detector model.
 
     Free parameters are, per mode, the detected thermal mean, the dark
-    mean, and the crosstalk probability. Raises ValueError for a
+    mean, and the crosstalk probability. They are found by one bounded
+    trust-region least-squares run on the weighted residuals, started
+    from the moment solution of each marginal. Raises ValueError for a
     degenerate histogram (fewer than two occupied bins in a marginal) and
-    FitConvergenceError if the search exhausts its budget.
+    FitConvergenceError if the solver exhausts its budget.
     """
     config = config or FitConfig()
     emp_h, emp_v = _empirical_marginals(counts)
     if np.count_nonzero(emp_h) < 2 or np.count_nonzero(emp_v) < 2:
         raise ValueError("marginal with fewer than 2 occupied bins cannot constrain the fit")
     target = np.outer(emp_h, emp_v)
-    w = _weights(counts, config)
+    sqrt_w = np.sqrt(_weights(counts, config))
     n_out = counts.n_max
     n_model = config.n_max
+    best = math.inf
 
-    def objective(x):
+    def residuals(x):
+        nonlocal best
         marg_h = _detected_marginal(x[0], x[2], x[4], n_model, n_out)
         marg_v = _detected_marginal(x[1], x[3], x[5], n_model, n_out)
-        diff = np.outer(marg_h, marg_v) - target
-        return float((w * diff * diff).sum())
+        r = (sqrt_w * (np.outer(marg_h, marg_v) - target)).ravel()
+        best = min(best, float(r @ r))
+        if trace is not None:
+            trace.append(best)
+        return r
 
-    counts_h = counts.counts.sum(axis=1)
-    counts_v = counts.counts.sum(axis=0)
-    dm_h, dk_h, xt_h = _prefit_marginal(emp_h, counts_h, n_model, n_out, config)
-    dm_v, dk_v, xt_v = _prefit_marginal(emp_v, counts_v, n_model, n_out, config)
-    x0 = np.array([dm_h, dm_v, dk_h, dk_v, xt_h, xt_v])
     mean_cap = 2.0 * max(_mean_of(emp_h), _mean_of(emp_v)) + 1.0
-    bounds = [
-        (1e-8, mean_cap),
-        (1e-8, mean_cap),
-        (0.0, _DARK_MAX),
-        (0.0, _DARK_MAX),
-        (0.0, _XTALK_MAX),
-        (0.0, _XTALK_MAX),
-    ]
-    x, fval = _minimize(objective, x0, bounds, config, trace=trace)
+    lower = np.array([1e-8, 1e-8, 0.0, 0.0, 0.0, 0.0])
+    upper = np.array([mean_cap, mean_cap, _DARK_MAX, _DARK_MAX, _XTALK_MAX, _XTALK_MAX])
+    # Parameter order: detected means, darks, crosstalks, each (h, v).
+    x0 = np.array(list(zip(_moment_start(emp_h), _moment_start(emp_v)))).ravel()
+    result = least_squares(
+        residuals,
+        np.clip(x0, lower, upper),
+        bounds=(lower, upper),
+        # Central differences: the objective is flat along the dark/crosstalk
+        # trade-off, where forward-difference error moves the optimum.
+        jac="3-point",
+        x_scale="jac",
+        ftol=config.convergence_tol,
+        xtol=config.convergence_tol,
+        # The gradient test is absolute, and the objective's scale is set by
+        # the number of shots; it would stop at the start.
+        gtol=None,
+        max_nfev=config.max_iterations,
+    )
+    x, fval = result.x, float(result.fun @ result.fun)
+    if result.status == 0:
+        raise FitConvergenceError(
+            f"stage 1 did not converge within {config.max_iterations} least-squares steps",
+            best=x,
+            objective=fval,
+        )
     return Stage1Result(
         detected_mean_h=float(x[0]),
         detected_mean_v=float(x[1]),
@@ -276,51 +280,6 @@ def _moment_start(emp: np.ndarray) -> tuple[float, float, float]:
     return max(dm, 1e-8), max(dark, 0.0), eps
 
 
-def _prefit_marginal(
-    emp: np.ndarray,
-    marginal_counts: np.ndarray,
-    n_model: int,
-    n_out: int,
-    config: FitConfig,
-) -> tuple[float, float, float]:
-    """Fit one detected marginal alone; used to start the joint search.
-
-    Runs the simplex from the moment solution and from two fallback
-    regimes (all-signal and dark-dominated) and keeps the best, which
-    makes the joint stage-1 fit robust to poor moment estimates.
-    """
-    if config.weighting == "poisson":
-        w = 1.0 / np.maximum(marginal_counts, 1)
-    else:
-        w = np.ones_like(emp)
-
-    def objective(x):
-        diff = _detected_marginal(x[0], x[1], x[2], n_model, n_out) - emp
-        return float((w * diff * diff).sum())
-
-    m1 = max(_mean_of(emp), 1e-6)
-    mean_cap = 2.0 * m1 + 1.0
-    bounds = [(1e-8, mean_cap), (0.0, _DARK_MAX), (0.0, _XTALK_MAX)]
-    starts = [
-        _moment_start(emp),
-        (0.9 * m1, 0.05 * m1 + 1e-3, 0.05),
-        (0.3 * m1, 0.6 * m1, 0.1),
-    ]
-    best_x, best_val = None, np.inf
-    for x0 in starts:
-        try:
-            x, val = _minimize(objective, x0, bounds, config)
-        except FitConvergenceError as err:
-            if err.best is None:
-                continue
-            x, val = err.best, err.objective
-        if val < best_val:
-            best_x, best_val = x, val
-    if best_x is None:
-        raise FitConvergenceError("no marginal prefit converged", best=None)
-    return float(best_x[0]), float(best_x[1]), float(best_x[2])
-
-
 def fit_stage2(
     counts: CountsMatrix,
     stage1: Stage1Result,
@@ -331,8 +290,12 @@ def fit_stage2(
 
     The stage-1 detected means, darks, and crosstalk are held fixed; the
     efficiencies follow from ``detected_mean / mean_photons``, so the
-    source mean is bounded below by the larger detected mean. ``g`` is
-    constrained to [0, 1] by the bounded search itself.
+    source mean is bounded below by the larger detected mean. For each
+    mean, ``g`` takes its weighted least-squares value clipped to [0, 1].
+    The mean is searched in ``log(mean)``: the profile is evaluated on a
+    log-spaced grid, and a bounded Brent search runs in the bracket
+    around every grid point that is a local minimum; the best point seen
+    is kept. Raises FitConvergenceError if a search exhausts its budget.
     """
     config = config or FitConfig()
     emp = counts.counts / counts.shots
@@ -349,26 +312,52 @@ def fit_stage2(
         crosstalk_matrix(stage1.xtalk_v, n_out, n_out).entries
         @ dark_matrix(stage1.dark_v, n_model, n_out).entries
     )
+    best = (math.inf, 0.0, 0.0)  # (objective, g, mean)
 
-    def model(g: float, mean: float) -> np.ndarray:
-        eta_h = min(stage1.detected_mean_h / mean, 1.0)
-        eta_v = min(stage1.detected_mean_v / mean, 1.0)
-        ch = after_loss_h @ loss_matrix(eta_h, n_model).entries
-        cv = after_loss_v @ loss_matrix(eta_v, n_model).entries
-        joint = mixture_joint(SourceParams(mean, g), n_model)
-        return ch @ joint.probs @ cv.T
-
-    def objective(x):
-        diff = model(x[0], x[1]) - emp
-        return float((w * diff * diff).sum())
+    def profile(log_mean: float) -> float:
+        """Objective at this mean, minimized over g in closed form."""
+        nonlocal best
+        mean = math.exp(log_mean)
+        ch = after_loss_h @ loss_matrix(min(stage1.detected_mean_h / mean, 1.0), n_model).entries
+        cv = after_loss_v @ loss_matrix(min(stage1.detected_mean_v / mean, 1.0), n_model).entries
+        product = ch @ product_joint(mean, n_model).probs @ cv.T
+        slope = ch @ pdc_joint(mean, n_model).probs @ cv.T - product
+        curvature = float((w * slope * slope).sum())
+        g = float((w * slope * (emp - product)).sum()) / curvature if curvature > 0.0 else 0.0
+        g = min(max(g, 0.0), 1.0)
+        diff = product + g * slope - emp
+        val = float((w * diff * diff).sum())
+        if val < best[0]:
+            best = (val, g, mean)
+        if trace is not None:
+            trace.append(best[0])
+        return val
 
     mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
     mean_hi = max(n_model / 3.0, mean_lo * 2.0)
-    g0, mean0 = _stage2_scan(objective, mean_lo, mean_hi)
-    x, fval = _minimize(
-        objective, [g0, mean0], [(0.0, 1.0), (mean_lo, mean_hi)], config, trace=trace
-    )
-    g, mean = float(x[0]), float(x[1])
+    grid = np.linspace(math.log(mean_lo), math.log(mean_hi), _MEAN_GRID_POINTS)
+    values = [profile(u) for u in grid]
+    last = len(grid) - 1
+    for k in range(len(grid)):
+        lo, hi = max(k - 1, 0), min(k + 1, last)
+        if values[k] <= min(values[lo], values[hi]):
+            search = minimize_scalar(
+                profile,
+                bounds=(grid[lo], grid[hi]),
+                method="bounded",
+                options={
+                    "xatol": math.sqrt(config.convergence_tol),
+                    "maxiter": config.max_iterations,
+                },
+            )
+            if not search.success:
+                raise FitConvergenceError(
+                    f"stage-2 mean search did not converge within "
+                    f"{config.max_iterations} evaluations",
+                    best=np.array(best[1:]),
+                    objective=best[0],
+                )
+    fval, g, mean = best
     return FitResult(
         source=SourceParams(mean_photons=mean, correlation=g),
         det_h=DetectorParams(
@@ -383,19 +372,6 @@ def fit_stage2(
         ),
         residual=fval,
     )
-
-
-def _stage2_scan(objective, mean_lo: float, mean_hi: float) -> tuple[float, float]:
-    """Coarse grid over (g, mean) picks the simplex starting point."""
-    g_grid = np.linspace(0.05, 0.95, 10)
-    mean_grid = np.geomspace(max(mean_lo, 1e-6), mean_hi, 14)
-    best = (np.inf, 0.5, mean_grid[len(mean_grid) // 2])
-    for g in g_grid:
-        for m in mean_grid:
-            val = objective([g, m])
-            if val < best[0]:
-                best = (val, float(g), float(m))
-    return best[1], best[2]
 
 
 def reconstruct(fit: FitResult, n_max: int) -> JointDistribution:
@@ -433,19 +409,22 @@ def bootstrap(
     n_resamples: int = 100,
     seed: int = 0,
     config: FitConfig | None = None,
+    stage1: Stage1Result | None = None,
 ) -> tuple[float, float]:
     """Bootstrap standard deviations of the fitted g and of the product distance.
 
     Each resample draws an independent Poisson histogram around the
     observed counts, then recomputes the product distance and the stage-2
-    fit (stage 1 is fit once, on the original counts). Resamples use
+    fit. Stage 1 is held at ``stage1``, the caller's fit of the original
+    counts; without one it is fit here, once. Resamples use
     independent RNG streams derived from ``(seed, resample_index)``, so
     the result does not depend on execution order.
     """
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
     config = config or FitConfig()
-    stage1 = fit_stage1(counts, config)
+    if stage1 is None:
+        stage1 = fit_stage1(counts, config)
     g_samples = np.empty(n_resamples)
     d_samples = np.empty(n_resamples)
     for r in range(n_resamples):
@@ -454,8 +433,6 @@ def bootstrap(
         try:
             g_samples[r] = fit_stage2(resampled, stage1, config).source.correlation
         except FitConvergenceError as err:
-            if err.best is None:
-                raise
             g_samples[r] = float(err.best[0])
     return float(g_samples.std(ddof=1)), float(d_samples.std(ddof=1))
 
@@ -471,6 +448,6 @@ def fit_counts(
     stage1 = fit_stage1(counts, config)
     result = fit_stage2(counts, stage1, config)
     if n_bootstrap > 0:
-        g_err, d_err = bootstrap(counts, n_bootstrap, seed, config)
+        g_err, d_err = bootstrap(counts, n_bootstrap, seed, config, stage1)
         result = replace(result, g_error=g_err, distance_error=d_err)
     return result

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+import photoncorr.cli
+import photoncorr.inference
 from photoncorr import CountsMatrix, JointDistribution, SourceParams, SimConfig, simulate
 from photoncorr.cli import main
 from photoncorr.io import (
@@ -212,6 +214,22 @@ class TestFitCommand:
         assert recon.n_max == 20
         manifest = read_json(str(out / "fit_manifest.json"))
         assert manifest["command"] == "fit"
+
+    def test_bootstrap_fits_stage1_once(self, tmp_path, monkeypatch):
+        config, counts_path = self.make_counts_file(tmp_path)
+        calls = []
+        fit_stage1 = photoncorr.inference.fit_stage1
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_stage1(*args, **kwargs)
+
+        monkeypatch.setattr(photoncorr.cli, "fit_stage1", counted)
+        monkeypatch.setattr(photoncorr.inference, "fit_stage1", counted)
+        code = main(["fit", counts_path, "--config", config, "--out", str(tmp_path / "fit"),
+                     "--bootstrap", "3"])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_weighting_flag(self, tmp_path):
         config, counts_path = self.make_counts_file(tmp_path)
