@@ -22,6 +22,7 @@ from .distributions import (
 from .detector import (
     ChannelMatrix,
     DetectorParams,
+    after_loss_channel,
     apply_two_mode,
     compose_channel,
     crosstalk_matrix,
@@ -73,6 +74,7 @@ __all__ = [
     "SingularSpectrum",
     "SourceParams",
     "Stage1Result",
+    "after_loss_channel",
     "apply_two_mode",
     "bootstrap",
     "closest_product",

@@ -234,7 +234,7 @@ def cmd_measure(args) -> int:
         {
             "mean_interior_ratio": report.mean_interior_ratio,
             "product_distance": report.product_distance,
-            "heralded_efficiency": report.heralded_efficiency,
+            "coincidence_ratio": report.coincidence_ratio,
             "lee_nonclassical": report.lee_nonclassical,
             "lee_witness": report.lee_witness,
             "singular_values": [float(s) for s in spectrum.values],

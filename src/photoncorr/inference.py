@@ -21,6 +21,9 @@ closed form and only the mean is searched (variable projection).
 Bootstrap uncertainties assume Poissonian counting noise: every cell is
 replaced by an independent Poisson draw centered on the observed count
 and the stage-2 fit and product distance are recomputed per resample.
+
+``scipy.optimize`` is imported inside the two fit functions, so importing
+the package (and running ``simulate`` or ``measure``) loads only numpy.
 """
 
 from __future__ import annotations
@@ -29,14 +32,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
 
-from .detector import (
-    DetectorParams,
-    crosstalk_matrix,
-    dark_matrix,
-    loss_matrix,
-)
+from .detector import DetectorParams, after_loss_channel, loss_matrix
 from .distributions import (
     JointDistribution,
     SourceParams,
@@ -142,8 +139,7 @@ def _detected_marginal(
 ) -> np.ndarray:
     """Thermal mode with the loss already absorbed, then darks and crosstalk."""
     t = thermal_pmf(detected_mean, n_model).probs
-    after_dark = dark_matrix(dark, n_model, n_out).entries @ t
-    return crosstalk_matrix(xtalk, n_out, n_out).entries @ after_dark
+    return after_loss_channel(dark, xtalk, n_model, n_out).entries @ t
 
 
 def _empirical_marginals(counts: CountsMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -163,6 +159,8 @@ def fit_stage1(
     degenerate histogram (fewer than two occupied bins in a marginal) and
     FitConvergenceError if the solver exhausts its budget.
     """
+    from scipy.optimize import least_squares
+
     config = config or FitConfig()
     emp_h, emp_v = _empirical_marginals(counts)
     if np.count_nonzero(emp_h) < 2 or np.count_nonzero(emp_v) < 2:
@@ -297,21 +295,17 @@ def fit_stage2(
     around every grid point that is a local minimum; the best point seen
     is kept. Raises FitConvergenceError if a search exhausts its budget.
     """
+    from scipy.optimize import minimize_scalar
+
     config = config or FitConfig()
     emp = counts.counts / counts.shots
     w = _weights(counts, config)
     n_out = counts.n_max
     n_model = config.n_max
 
-    # Dark and crosstalk matrices do not depend on the free parameters.
-    after_loss_h = (
-        crosstalk_matrix(stage1.xtalk_h, n_out, n_out).entries
-        @ dark_matrix(stage1.dark_h, n_model, n_out).entries
-    )
-    after_loss_v = (
-        crosstalk_matrix(stage1.xtalk_v, n_out, n_out).entries
-        @ dark_matrix(stage1.dark_v, n_model, n_out).entries
-    )
+    # Dark counts and crosstalk do not depend on the free parameters.
+    after_loss_h = after_loss_channel(stage1.dark_h, stage1.xtalk_h, n_model, n_out).entries
+    after_loss_v = after_loss_channel(stage1.dark_v, stage1.xtalk_v, n_model, n_out).entries
     best = (math.inf, 0.0, 0.0)  # (objective, g, mean)
 
     def profile(log_mean: float) -> float:

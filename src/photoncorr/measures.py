@@ -67,7 +67,7 @@ class CorrelationReport:
 
     mean_interior_ratio: float
     product_distance: float
-    heralded_efficiency: float
+    coincidence_ratio: float
     lee_nonclassical: bool
     lee_witness: float
 
@@ -216,7 +216,7 @@ def correlation_report(joint: JointDistribution, herald: str = MODE_H) -> Correl
     return CorrelationReport(
         mean_interior_ratio=mean_interior_ratio(ratio_matrix(joint)),
         product_distance=product_distance(singular_spectrum(joint)),
-        heralded_efficiency=coincidence_ratio(joint, herald=herald),
+        coincidence_ratio=coincidence_ratio(joint, herald=herald),
         lee_nonclassical=nonclassical,
         lee_witness=witness,
     )

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
+from scipy.stats import poisson
 
 from photoncorr import (
     DetectorParams,
+    after_loss_channel,
     apply_two_mode,
     compose_channel,
     crosstalk_matrix,
@@ -16,7 +20,7 @@ from photoncorr import (
     thermal_pmf,
     SourceParams,
 )
-from photoncorr.detector import apply_two_mode_built
+from photoncorr.detector import _log_binom_table, apply_two_mode_built
 from photoncorr.montecarlo import detect_count, total_variation
 
 from conftest import PAPER_DET_H, PAPER_DET_V
@@ -77,6 +81,12 @@ class TestDarkMatrix:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             dark_matrix(-0.1, 4)
+
+    def test_non_finite_mean_rejected(self):
+        # The closed form sums terms up to 2 * dark_mean; inf or nan has no pmf.
+        for mean in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                dark_matrix(mean, 4)
 
 
 class TestCrosstalkMatrix:
@@ -141,6 +151,128 @@ class TestComposeChannel:
         dark_after = dark @ loss @ thermal_in
         dark_before = loss @ dark @ thermal_in
         assert np.abs(dark_after - dark_before).max() > 1e-4
+
+
+# Output shorter than, equal to and longer than the input.
+SHAPES = [(12, 6), (12, 12), (6, 40)]
+
+
+class TestKernelsAgainstScipy:
+    """The closed-form kernels agree with scipy's to 1e-12 relative.
+
+    Dark mean 1e-24 is where stage-1 darks sit at their bound; there the
+    overflow is about 1e-24, which ``1 - cdf`` would round to 0.
+
+    ``atol=1e-300`` only admits differences among subnormal values, where
+    no relative accuracy exists (e.g. dark mean 1e-24 at 13+ counts).
+    """
+
+    @pytest.mark.parametrize("n_in, n_out", SHAPES)
+    @pytest.mark.parametrize("dark_mean", [0.0, 1e-24, 0.11, 5.0, 40.0])
+    def test_dark_matrix_matches_poisson(self, dark_mean, n_in, n_out):
+        chan = dark_matrix(dark_mean, n_in, n_out)
+        k = np.arange(n_out + 1)[:, None] - np.arange(n_in + 1)[None, :]
+        pmf = np.where(k >= 0, poisson.pmf(np.maximum(k, 0), dark_mean), 0.0)
+        n = np.arange(n_in + 1)
+        tail = np.where(n <= n_out, poisson.sf(n_out - n, dark_mean), 1.0)
+        np.testing.assert_allclose(chan.entries, pmf, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(chan.column_truncation, tail, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("dim", [1, 2, 13, 41, 61])
+    def test_log_binom_table_matches_gammaln(self, dim):
+        table = _log_binom_table(dim)
+        m = np.arange(dim)[:, None]
+        n = np.arange(dim)[None, :]
+        ref = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
+        valid = m <= n
+        np.testing.assert_allclose(table[valid], ref[valid], rtol=1e-12, atol=0.0)
+        assert np.all(table[~valid] == -np.inf)
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("n_in, n_out", SHAPES)
+    def test_binomial_kernels_match_gammaln(self, n_in, n_out):
+        m = np.arange(n_out + 1, dtype=float)[:, None]
+        n = np.arange(n_in + 1, dtype=float)[None, :]
+
+        def binom_pmf(trials, k, p):
+            ok = (k >= 0) & (k <= trials)
+            k = np.where(ok, k, 0.0)
+            log_c = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
+            return np.where(ok, np.exp(log_c + k * np.log(p) + (trials - k) * np.log1p(-p)), 0.0)
+
+        np.testing.assert_allclose(
+            loss_matrix(0.37, n_in, n_out).entries, binom_pmf(n, m, 0.37), rtol=1e-12, atol=1e-300
+        )
+        np.testing.assert_allclose(
+            crosstalk_matrix(0.12, n_in, n_out).entries,
+            binom_pmf(n, m - n, 0.12),
+            rtol=1e-12,
+            atol=1e-300,
+        )
+
+
+_dims = st.integers(min_value=0, max_value=30)
+_efficiencies = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+_darks = st.one_of(st.just(0.0), st.just(1e-24), st.floats(min_value=0.0, max_value=40.0))
+_crosstalks = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+# Derandomized, so the suite draws the same examples on every run.
+_examples = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _assert_accounted(chan):
+    """Every column's entries plus its recorded overflow sum to 1."""
+    assert np.all(chan.entries >= 0.0) and np.all(chan.column_truncation >= 0.0)
+    np.testing.assert_allclose(
+        chan.entries.sum(axis=0) + chan.column_truncation, 1.0, rtol=0.0, atol=1e-12
+    )
+
+
+class TestChannelProperties:
+    @_examples
+    @given(eta=_efficiencies, n_in=_dims, n_out=_dims)
+    def test_loss_accounts_for_all_mass(self, eta, n_in, n_out):
+        _assert_accounted(loss_matrix(eta, n_in, n_out))
+
+    @_examples
+    @given(dark=_darks, n_in=_dims, n_out=_dims)
+    def test_dark_accounts_for_all_mass(self, dark, n_in, n_out):
+        _assert_accounted(dark_matrix(dark, n_in, n_out))
+
+    @_examples
+    @given(eps=_crosstalks, n_in=_dims, n_out=_dims)
+    def test_crosstalk_accounts_for_all_mass(self, eps, n_in, n_out):
+        _assert_accounted(crosstalk_matrix(eps, n_in, n_out))
+
+    @_examples
+    @given(dark=_darks, eps=_crosstalks, n_in=_dims, n_out=_dims)
+    def test_after_loss_accounts_for_all_mass(self, dark, eps, n_in, n_out):
+        _assert_accounted(after_loss_channel(dark, eps, n_in, n_out))
+
+    @_examples
+    @given(eta=_efficiencies, dark=_darks, eps=_crosstalks, n_in=_dims, n_out=_dims)
+    def test_composed_channel_accounts_for_all_mass(self, eta, dark, eps, n_in, n_out):
+        chan = compose_channel(DetectorParams(eta, dark, eps), n_in, n_out)
+        _assert_accounted(chan)
+        after_loss = after_loss_channel(dark, eps, n_in, n_out).entries
+        np.testing.assert_array_equal(
+            chan.entries, after_loss @ loss_matrix(eta, n_in).entries
+        )
+
+    @_examples
+    @given(
+        eta=_efficiencies,
+        mean=st.floats(min_value=0.0, max_value=10.0),
+        n_max=st.integers(min_value=0, max_value=60),
+    )
+    def test_loss_of_thermal_is_thermal(self, eta, mean, n_max):
+        # Thinning thermal(mean) gives thermal(eta * mean). The input grid
+        # misses its recorded tail, so the output can fall short of the
+        # exact thermal by at most that much, and never exceed it.
+        thermal_in = thermal_pmf(mean, n_max)
+        out = loss_matrix(eta, n_max).entries @ thermal_in.probs
+        shortfall = thermal_pmf(eta * mean, n_max).probs - out
+        assert np.all(shortfall >= -1e-12)
+        assert shortfall.sum() <= thermal_in.tail_mass + 1e-12
 
 
 class TestApplyTwoMode:

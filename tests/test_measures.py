@@ -262,7 +262,7 @@ class TestCoincidenceRatio:
 class TestCorrelationReport:
     def test_fields_populated(self):
         report = correlation_report(forward(0.5))
-        assert 0.0 <= report.heralded_efficiency <= 1.0
+        assert 0.0 <= report.coincidence_ratio <= 1.0
         assert report.product_distance >= 0.0
         assert np.isfinite(report.mean_interior_ratio)
         assert isinstance(report.lee_nonclassical, bool)
