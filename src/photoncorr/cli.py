@@ -95,12 +95,13 @@ def _detector_from_config(config: dict, key: str) -> DetectorParams:
 
 def _fit_config(config: dict, weighting_override: str | None) -> FitConfig:
     fit = config.get("fit", {})
+    default = FitConfig()
     try:
         return FitConfig(
-            max_iterations=int(fit.get("max_iterations", 4000)),
-            convergence_tol=float(fit.get("convergence_tol", 1e-14)),
-            weighting=weighting_override or fit.get("weighting", "poisson"),
-            n_max=int(fit.get("n_max", 40)),
+            max_iterations=int(fit.get("max_iterations", default.max_iterations)),
+            convergence_tol=float(fit.get("convergence_tol", default.convergence_tol)),
+            weighting=weighting_override or fit.get("weighting", default.weighting),
+            n_max=int(fit.get("n_max", default.n_max)),
         )
     except ValueError as err:
         raise ConfigError(f"invalid fit configuration: {err}") from err
@@ -160,22 +161,11 @@ def _write_manifest(out_dir: str, command: str, resolved: dict, seed,
     return path
 
 
-def _detector_dict(det: DetectorParams) -> dict:
-    return {
-        "efficiency": det.efficiency,
-        "dark_mean": det.dark_mean,
-        "crosstalk": det.crosstalk,
-    }
-
-
 def _sim_config_dict(sim: SimConfig) -> dict:
     return {
-        "source": {
-            "mean_photons": sim.source.mean_photons,
-            "correlation": sim.source.correlation,
-        },
-        "detector_h": _detector_dict(sim.det_h),
-        "detector_v": _detector_dict(sim.det_v),
+        "source": dataclasses.asdict(sim.source),
+        "detector_h": dataclasses.asdict(sim.det_h),
+        "detector_v": dataclasses.asdict(sim.det_v),
         "shots": sim.shots,
         "seed": sim.seed,
         "n_max": sim.n_max,
@@ -186,22 +176,14 @@ def fit_result_dict(fit: FitResult, stage1=None) -> dict:
     out = {
         "mean_photons": fit.source.mean_photons,
         "correlation": fit.source.correlation,
-        "detector_h": _detector_dict(fit.det_h),
-        "detector_v": _detector_dict(fit.det_v),
+        "detector_h": dataclasses.asdict(fit.det_h),
+        "detector_v": dataclasses.asdict(fit.det_v),
         "residual": fit.residual,
         "g_error": fit.g_error,
         "distance_error": fit.distance_error,
     }
     if stage1 is not None:
-        out["stage1"] = {
-            "detected_mean_h": stage1.detected_mean_h,
-            "detected_mean_v": stage1.detected_mean_v,
-            "dark_h": stage1.dark_h,
-            "dark_v": stage1.dark_v,
-            "xtalk_h": stage1.xtalk_h,
-            "xtalk_v": stage1.xtalk_v,
-            "residual": stage1.residual,
-        }
+        out["stage1"] = dataclasses.asdict(stage1)
     return out
 
 
@@ -280,12 +262,7 @@ def cmd_fit(args) -> int:
         args.out, "fit",
         {
             "counts": args.counts,
-            "fit": {
-                "max_iterations": fit_cfg.max_iterations,
-                "convergence_tol": fit_cfg.convergence_tol,
-                "weighting": fit_cfg.weighting,
-                "n_max": fit_cfg.n_max,
-            },
+            "fit": dataclasses.asdict(fit_cfg),
             "bootstrap": args.bootstrap,
         },
         seed, inputs=[args.counts], outputs=outputs, started=started,

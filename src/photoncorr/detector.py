@@ -79,14 +79,6 @@ class ChannelMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "column_truncation", trunc)
 
-    @property
-    def in_dim(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @lru_cache(maxsize=32)
 def _log_factorial(dim: int) -> np.ndarray:
@@ -254,27 +246,8 @@ def apply_two_mode(
     """
     if n_out is None:
         n_out = joint.n_max
-    ch = compose_channel(params_h, joint.n_max, n_out)
-    cv = compose_channel(params_v, joint.n_max, n_out)
-    return apply_two_mode_built(joint, ch, cv)
-
-
-def apply_two_mode_built(
-    joint: JointDistribution, channel_h: ChannelMatrix, channel_v: ChannelMatrix
-) -> JointDistribution:
-    """Apply prebuilt per-mode channels; dimensions must match the joint."""
-    dim = joint.n_max + 1
-    if channel_h.in_dim != dim or channel_v.in_dim != dim:
-        raise ValueError(
-            f"channel input dims ({channel_h.in_dim}, {channel_v.in_dim}) "
-            f"do not match joint dimension {dim}"
-        )
-    if channel_h.out_dim != channel_v.out_dim:
-        raise ValueError("the two channels must share an output dimension")
-    measured = channel_h.entries @ joint.probs @ channel_v.entries.T
+    ch = compose_channel(params_h, joint.n_max, n_out).entries
+    cv = compose_channel(params_v, joint.n_max, n_out).entries
+    measured = ch @ joint.probs @ cv.T
     tail = 1.0 - float(measured.sum())
-    return JointDistribution(
-        n_max=channel_h.out_dim - 1,
-        probs=measured,
-        tail_mass=max(tail, 0.0),
-    )
+    return JointDistribution(n_max=n_out, probs=measured, tail_mass=max(tail, 0.0))

@@ -8,7 +8,7 @@ efficiency, so stage 1 can only identify the product
 ``efficiency * mean_photons`` (the detected mean); the coincidence
 structure in stage 2 splits it. It is a small smooth nonlinear
 least-squares problem, solved by a bounded trust-region method started
-from a moment solution.
+at the empirical marginal means, with no dark counts or crosstalk.
 
 Stage 2 fits the full joint histogram with the degree of correlation and
 the source mean as the free parameters, holding the detected means,
@@ -34,14 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detector import DetectorParams, after_loss_channel, loss_matrix
-from .distributions import (
-    JointDistribution,
-    SourceParams,
-    mixture_joint,
-    pdc_joint,
-    product_joint,
-    thermal_pmf,
-)
+from .distributions import JointDistribution, SourceParams, mixture_joint, thermal_pmf
 from .measures import product_distance, singular_spectrum
 from .montecarlo import CountsMatrix, normalize
 
@@ -154,10 +147,11 @@ def fit_stage1(
 
     Free parameters are, per mode, the detected thermal mean, the dark
     mean, and the crosstalk probability. They are found by one bounded
-    trust-region least-squares run on the weighted residuals, started
-    from the moment solution of each marginal. Raises ValueError for a
-    degenerate histogram (fewer than two occupied bins in a marginal) and
-    FitConvergenceError if the solver exhausts its budget.
+    trust-region least-squares run on the weighted residuals, started at
+    each mode's empirical mean with darks and crosstalk at zero. Raises
+    ValueError for a degenerate histogram (fewer than two occupied bins
+    in a marginal) and FitConvergenceError if the solver exhausts its
+    budget.
     """
     from scipy.optimize import least_squares
 
@@ -181,11 +175,12 @@ def fit_stage1(
             trace.append(best)
         return r
 
-    mean_cap = 2.0 * max(_mean_of(emp_h), _mean_of(emp_v)) + 1.0
+    mean_h, mean_v = _mean_of(emp_h), _mean_of(emp_v)
+    mean_cap = 2.0 * max(mean_h, mean_v) + 1.0
+    # Parameter order: detected means, darks, crosstalks, each (h, v).
     lower = np.array([1e-8, 1e-8, 0.0, 0.0, 0.0, 0.0])
     upper = np.array([mean_cap, mean_cap, _DARK_MAX, _DARK_MAX, _XTALK_MAX, _XTALK_MAX])
-    # Parameter order: detected means, darks, crosstalks, each (h, v).
-    x0 = np.array(list(zip(_moment_start(emp_h), _moment_start(emp_v)))).ravel()
+    x0 = np.array([mean_h, mean_v, 0.0, 0.0, 0.0, 0.0])
     result = least_squares(
         residuals,
         np.clip(x0, lower, upper),
@@ -226,58 +221,6 @@ def _mean_of(marginal: np.ndarray) -> float:
     return float(np.arange(marginal.size) @ marginal / total)
 
 
-def _fact2_of(marginal: np.ndarray) -> float:
-    total = marginal.sum()
-    if total <= 0.0:
-        return 0.0
-    n = np.arange(marginal.size, dtype=float)
-    return float((n * (n - 1.0)) @ marginal / total)
-
-
-def _moment_start(emp: np.ndarray) -> tuple[float, float, float]:
-    """Solve (detected mean, dark, crosstalk) from three marginal statistics.
-
-    For the thermal + Poisson + one-generation-crosstalk model:
-      mean                    = (1+eps) (dm + dark)
-      P(0)                    = exp(-dark) / (1 + dm)
-      <m(m-1)> / mean**2      = 2 - (dark/(dm+dark))**2
-                                + 2 eps / ((1+eps)**2 (dm+dark))
-    solved by alternating between the crosstalk update and a bisection of
-    the zero-bin equation. Clipped into the fit bounds; accuracy beyond a
-    few percent is the optimizer's job.
-    """
-    m1 = max(_mean_of(emp), 1e-6)
-    f2 = _fact2_of(emp)
-    p0 = float(np.clip(emp[0] / max(emp.sum(), 1e-300), 1e-12, 1.0 - 1e-12))
-    eps = 0.05
-    dm, dark = m1, 0.0
-    for _ in range(12):
-        total = m1 / (1.0 + eps)
-        # P(0) is increasing in dm along the dm + dark = total line.
-        lo, hi = 1e-9, total
-        f_lo = math.exp(-(total - lo)) / (1.0 + lo) - p0
-        f_hi = 1.0 / (1.0 + total) - p0
-        if f_lo >= 0.0:
-            dm = lo
-        elif f_hi <= 0.0:
-            dm = total
-        else:
-            for _ in range(50):
-                mid = 0.5 * (lo + hi)
-                if math.exp(-(total - mid)) / (1.0 + mid) - p0 < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            dm = 0.5 * (lo + hi)
-        dark = total - dm
-        ratio = (dark / total) ** 2 if total > 0 else 0.0
-        rhs = (f2 / (m1 * m1) - 2.0 + ratio) * total / 2.0
-        eps = min(max(rhs, 0.0), _XTALK_MAX)
-        for _ in range(5):
-            eps = min(max(rhs * (1.0 + eps) ** 2, 0.0), _XTALK_MAX)
-    return max(dm, 1e-8), max(dark, 0.0), eps
-
-
 def fit_stage2(
     counts: CountsMatrix,
     stage1: Stage1Result,
@@ -314,8 +257,11 @@ def fit_stage2(
         mean = math.exp(log_mean)
         ch = after_loss_h @ loss_matrix(min(stage1.detected_mean_h / mean, 1.0), n_model).entries
         cv = after_loss_v @ loss_matrix(min(stage1.detected_mean_v / mean, 1.0), n_model).entries
-        product = ch @ product_joint(mean, n_model).probs @ cv.T
-        slope = ch @ pdc_joint(mean, n_model).probs @ cv.T - product
+        # Detected product of the thermal marginals, and the correlated
+        # (diagonal) source term minus it.
+        t = thermal_pmf(mean, n_model).probs
+        product = np.outer(ch @ t, cv @ t)
+        slope = (ch * t) @ cv.T - product
         curvature = float((w * slope * slope).sum())
         g = float((w * slope * (emp - product)).sum()) / curvature if curvature > 0.0 else 0.0
         g = min(max(g, 0.0), 1.0)

@@ -20,7 +20,7 @@ from photoncorr import (
     thermal_pmf,
     SourceParams,
 )
-from photoncorr.detector import _log_binom_table, apply_two_mode_built
+from photoncorr.detector import _log_binom_table
 from photoncorr.montecarlo import detect_count, total_variation
 
 from conftest import PAPER_DET_H, PAPER_DET_V
@@ -293,12 +293,6 @@ class TestApplyTwoMode:
         # Zero-photon events dominate every other cell.
         assert out.probs[0, 0] == out.probs.max()
         assert np.all(out.probs[0, 0] > np.delete(out.probs.ravel(), 0))
-
-    def test_dimension_mismatch_rejected(self):
-        joint = pdc_joint(1.0, 8)
-        chan = compose_channel(PAPER_DET_H, 5, 5)
-        with pytest.raises(ValueError):
-            apply_two_mode_built(joint, chan, chan)
 
     def test_output_normalization(self):
         joint = mixture_joint(SourceParams(4.1, 0.5), 40)

@@ -10,6 +10,7 @@ from photoncorr import (
     FitResult,
     SimConfig,
     SourceParams,
+    after_loss_channel,
     apply_two_mode,
     bootstrap,
     fit_stage1,
@@ -21,6 +22,7 @@ from photoncorr import (
     reconstruct,
     simulate,
     singular_spectrum,
+    thermal_pmf,
 )
 from photoncorr.inference import fit_counts, poisson_resample, _resample_rng
 from photoncorr.montecarlo import total_variation
@@ -36,6 +38,24 @@ STAGE1_DET_V = DetectorParams(0.65, 0.14, 0.11)
 def simulate_counts(g, det_h, det_v, shots, seed, n_max, mean=4.1):
     config = SimConfig(SourceParams(mean, g), det_h, det_v, shots, seed, n_max)
     return simulate(config)
+
+
+def poisson_objective(counts, model, target):
+    """The Poisson-weighted least-squares objective of both fit stages."""
+    diff = model - target
+    return float((diff * diff / np.maximum(counts.counts, 1)).sum())
+
+
+# A histogram at the FIT detectors and one at the reference (PAPER)
+# detectors: (det_h, det_v, g, shots, n_out).
+REFERENCE_HISTOGRAMS = pytest.mark.parametrize(
+    "det_h, det_v, g, shots, n_out",
+    [
+        (FIT_DET_H, FIT_DET_V, 0.47, 300_000, 30),
+        (PAPER_DET_H, PAPER_DET_V, 0.5, 10 ** 6, 12),
+    ],
+    ids=["fit", "paper"],
+)
 
 
 class TestStage1:
@@ -72,6 +92,23 @@ class TestStage1:
             fit_stage1(counts, FitConfig(max_iterations=1))
         assert excinfo.value.best is not None
         assert np.isfinite(excinfo.value.objective)
+
+    @REFERENCE_HISTOGRAMS
+    def test_not_above_generating_parameters(self, det_h, det_v, g, shots, n_out):
+        # Stage 1 starts from the data, not from the truth, and must still
+        # end no higher than the objective at the generating parameters
+        # (detected mean efficiency * 4.1, the source mean of the counts).
+        counts = simulate_counts(g, det_h, det_v, shots, 7, n_out)
+        config = FitConfig(n_max=40)
+        s1 = fit_stage1(counts, config)
+        marg_h, marg_v = (
+            after_loss_channel(det.dark_mean, det.crosstalk, config.n_max, n_out).entries
+            @ thermal_pmf(det.efficiency * 4.1, config.n_max).probs
+            for det in (det_h, det_v)
+        )
+        emp = counts.counts / counts.shots
+        target = np.outer(emp.sum(axis=1), emp.sum(axis=0))
+        assert s1.residual <= poisson_objective(counts, np.outer(marg_h, marg_v), target)
 
 
 class TestStage2:
@@ -143,11 +180,25 @@ class TestStage2:
     def test_objective_monotonicity(self):
         counts = simulate_counts(0.3, FIT_DET_H, FIT_DET_V, 100_000, 3, 20)
         config = FitConfig(n_max=40)
-        s1 = fit_stage1(counts, config)
-        trace = []
-        fit_stage2(counts, s1, config, trace=trace)
-        assert len(trace) > 10
-        assert all(b <= a + 1e-18 for a, b in zip(trace, trace[1:]))
+        trace1, trace2 = [], []
+        s1 = fit_stage1(counts, config, trace=trace1)
+        fit_stage2(counts, s1, config, trace=trace2)
+        for trace in (trace1, trace2):
+            assert len(trace) > 10
+            assert all(b <= a + 1e-18 for a, b in zip(trace, trace[1:]))
+
+    @REFERENCE_HISTOGRAMS
+    def test_residual_matches_forward_model(self, det_h, det_v, g, shots, n_out):
+        # The profiled objective is built from the thermal marginal; it
+        # must equal the objective of the full forward model at the fit.
+        counts = simulate_counts(g, det_h, det_v, shots, 7, n_out)
+        config = FitConfig(n_max=40)
+        fit = fit_stage2(counts, fit_stage1(counts, config), config)
+        model = apply_two_mode(
+            mixture_joint(fit.source, config.n_max), fit.det_h, fit.det_v, n_out
+        ).probs
+        expected = poisson_objective(counts, model, counts.counts / counts.shots)
+        assert fit.residual == pytest.approx(expected, rel=1e-12)
 
     def test_reaches_global_basin(self):
         # At the reference detectors the objective over the source mean
@@ -269,14 +320,7 @@ class TestBootstrap:
 
 
 class TestModeSymmetry:
-    @pytest.mark.parametrize(
-        "det_h, det_v, g, shots, n_out",
-        [
-            (FIT_DET_H, FIT_DET_V, 0.47, 300_000, 30),
-            (PAPER_DET_H, PAPER_DET_V, 0.5, 10 ** 6, 12),
-        ],
-        ids=["fit", "paper"],
-    )
+    @REFERENCE_HISTOGRAMS
     def test_swapping_modes_transposes_fit(self, det_h, det_v, g, shots, n_out):
         counts = simulate_counts(g, det_h, det_v, shots, 7, n_out)
         swapped = CountsMatrix(

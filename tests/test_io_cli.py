@@ -209,11 +209,23 @@ class TestFitCommand:
         assert 0.0 <= result["correlation"] <= 1.0
         assert result["g_error"] >= 0.0
         assert result["distance_error"] >= 0.0
-        assert "stage1" in result
+        assert set(result) == {
+            "mean_photons", "correlation", "detector_h", "detector_v", "residual",
+            "g_error", "distance_error", "stage1", "manifest",
+        }
+        assert set(result["stage1"]) == {
+            "detected_mean_h", "detected_mean_v", "dark_h", "dark_v", "xtalk_h", "xtalk_v",
+            "residual",
+        }
+        for key in ("detector_h", "detector_v"):
+            assert set(result[key]) == {"efficiency", "dark_mean", "crosstalk"}
         recon = read_distribution(str(out / "reconstruction.csv"))
         assert recon.n_max == 20
         manifest = read_json(str(out / "fit_manifest.json"))
         assert manifest["command"] == "fit"
+        assert set(manifest["config"]["fit"]) == {
+            "max_iterations", "convergence_tol", "weighting", "n_max",
+        }
 
     def test_bootstrap_fits_stage1_once(self, tmp_path, monkeypatch):
         config, counts_path = self.make_counts_file(tmp_path)
@@ -247,6 +259,14 @@ class TestFitCommand:
         code = main(["fit", counts_path, "--config", str(config_path),
                      "--out", str(tmp_path / "starved")])
         assert code == 3
+
+    def test_invalid_fit_config_exit_code(self, tmp_path):
+        config_path = tmp_path / "bad_fit.json"
+        config, counts_path = self.make_counts_file(tmp_path)
+        config_path.write_text(json.dumps({"fit": {"n_max": 0}}))
+        code = main(["fit", counts_path, "--config", str(config_path),
+                     "--out", str(tmp_path / "bad_fit")])
+        assert code == 2
 
 
 class TestSweepCommand:
