@@ -20,7 +20,6 @@ from .distributions import (
     thermal_pmf,
 )
 from .detector import (
-    ChannelMatrix,
     DetectorParams,
     after_loss_channel,
     apply_two_mode,
@@ -59,7 +58,6 @@ from .inference import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelMatrix",
     "CorrelationReport",
     "CountsMatrix",
     "DetectorParams",

@@ -108,7 +108,7 @@ class FitConvergenceError(RuntimeError):
 
     ``best`` carries the best parameter estimate reached so far (the six
     stage-1 parameters, or ``(g, mean)`` for stage 2), so a caller can
-    inspect or reuse it.
+    inspect it.
     """
 
     def __init__(self, message: str, best=None, objective: float | None = None):
@@ -132,7 +132,7 @@ def _detected_marginal(
 ) -> np.ndarray:
     """Thermal mode with the loss already absorbed, then darks and crosstalk."""
     t = thermal_pmf(detected_mean, n_model).probs
-    return after_loss_channel(dark, xtalk, n_model, n_out).entries @ t
+    return after_loss_channel(dark, xtalk, n_model, n_out) @ t
 
 
 def _empirical_marginals(counts: CountsMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -247,16 +247,16 @@ def fit_stage2(
     n_model = config.n_max
 
     # Dark counts and crosstalk do not depend on the free parameters.
-    after_loss_h = after_loss_channel(stage1.dark_h, stage1.xtalk_h, n_model, n_out).entries
-    after_loss_v = after_loss_channel(stage1.dark_v, stage1.xtalk_v, n_model, n_out).entries
+    after_loss_h = after_loss_channel(stage1.dark_h, stage1.xtalk_h, n_model, n_out)
+    after_loss_v = after_loss_channel(stage1.dark_v, stage1.xtalk_v, n_model, n_out)
     best = (math.inf, 0.0, 0.0)  # (objective, g, mean)
 
     def profile(log_mean: float) -> float:
         """Objective at this mean, minimized over g in closed form."""
         nonlocal best
         mean = math.exp(log_mean)
-        ch = after_loss_h @ loss_matrix(min(stage1.detected_mean_h / mean, 1.0), n_model).entries
-        cv = after_loss_v @ loss_matrix(min(stage1.detected_mean_v / mean, 1.0), n_model).entries
+        ch = after_loss_h @ loss_matrix(min(stage1.detected_mean_h / mean, 1.0), n_model)
+        cv = after_loss_v @ loss_matrix(min(stage1.detected_mean_v / mean, 1.0), n_model)
         # Detected product of the thermal marginals, and the correlated
         # (diagonal) source term minus it.
         t = thermal_pmf(mean, n_model).probs
@@ -358,7 +358,8 @@ def bootstrap(
     fit. Stage 1 is held at ``stage1``, the caller's fit of the original
     counts; without one it is fit here, once. Resamples use
     independent RNG streams derived from ``(seed, resample_index)``, so
-    the result does not depend on execution order.
+    the result does not depend on execution order. A resample whose fit
+    exhausts its budget raises FitConvergenceError.
     """
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
@@ -370,10 +371,7 @@ def bootstrap(
     for r in range(n_resamples):
         resampled = poisson_resample(counts, _resample_rng(seed, r))
         d_samples[r] = product_distance(singular_spectrum(normalize(resampled)))
-        try:
-            g_samples[r] = fit_stage2(resampled, stage1, config).source.correlation
-        except FitConvergenceError as err:
-            g_samples[r] = float(err.best[0])
+        g_samples[r] = fit_stage2(resampled, stage1, config).source.correlation
     return float(g_samples.std(ddof=1)), float(d_samples.std(ddof=1))
 
 

@@ -29,18 +29,18 @@ from conftest import PAPER_DET_H, PAPER_DET_V
 class TestLossMatrix:
     def test_lossless_is_identity(self):
         chan = loss_matrix(1.0, 6)
-        assert np.array_equal(chan.entries, np.eye(7))
+        assert np.array_equal(chan, np.eye(7))
 
     def test_binomial_column(self):
         chan = loss_matrix(0.5, 2)
-        np.testing.assert_allclose(chan.entries[:, 2], [0.25, 0.5, 0.25], atol=1e-15)
+        np.testing.assert_allclose(chan[:, 2], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_thermal_closure(self):
         # Binomial thinning of a thermal state is thermal with the mean
         # scaled by the efficiency; the input tail must be negligible.
         eta, mean, n_max = 0.37, 1.0, 60
         thermal_in = thermal_pmf(mean, n_max)
-        out = loss_matrix(eta, n_max).entries @ thermal_in.probs
+        out = loss_matrix(eta, n_max) @ thermal_in.probs
         expected = thermal_pmf(eta * mean, n_max)
         np.testing.assert_allclose(out, expected.probs, atol=1e-10)
 
@@ -49,41 +49,37 @@ class TestLossMatrix:
         with pytest.raises(ValueError):
             loss_matrix(eta, 4)
 
-    def test_short_output_records_truncation(self):
-        chan = loss_matrix(0.5, 4, 2)
-        total = chan.entries.sum(axis=0) + chan.column_truncation
-        np.testing.assert_allclose(total, np.ones(5), atol=1e-12)
-        assert chan.column_truncation[4] > 0.0
-
 
 class TestDarkMatrix:
     def test_zero_darks_identity(self):
         chan = dark_matrix(0.0, 5)
-        assert np.array_equal(chan.entries, np.eye(6))
+        assert np.array_equal(chan, np.eye(6))
 
     def test_vacuum_column_is_poisson(self):
         chan = dark_matrix(0.11, 6, 12)
         expected = [math.exp(-0.11) * 0.11 ** k / math.factorial(k) for k in range(13)]
-        np.testing.assert_allclose(chan.entries[:, 0], expected, rtol=1e-12)
-        assert chan.entries[0, 0] == pytest.approx(0.895834135, abs=1e-8)
-        assert chan.entries[1, 0] == pytest.approx(0.098541754, abs=1e-8)
-        assert chan.entries[2, 0] == pytest.approx(0.005419796, abs=1e-8)
+        np.testing.assert_allclose(chan[:, 0], expected, rtol=1e-12)
+        assert chan[0, 0] == pytest.approx(0.895834135, abs=1e-8)
+        assert chan[1, 0] == pytest.approx(0.098541754, abs=1e-8)
+        assert chan[2, 0] == pytest.approx(0.005419796, abs=1e-8)
 
     def test_columns_normalize_with_headroom(self):
         chan = dark_matrix(0.3, 4, 40)
-        np.testing.assert_allclose(chan.entries.sum(axis=0), np.ones(5), atol=1e-12)
+        np.testing.assert_allclose(chan.sum(axis=0), np.ones(5), atol=1e-12)
 
     def test_truncation_recorded(self):
-        chan = dark_matrix(0.5, 4, 4)
-        total = chan.entries.sum(axis=0) + chan.column_truncation
-        np.testing.assert_allclose(total, np.ones(5), atol=1e-12)
+        # A short output range is the top rows of a long one, whose
+        # columns hold all the mass.
+        short, long = dark_matrix(0.5, 4, 4), dark_matrix(0.5, 4, 60)
+        np.testing.assert_allclose(short, long[:5], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(long.sum(axis=0), np.ones(5), atol=1e-12)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             dark_matrix(-0.1, 4)
 
     def test_non_finite_mean_rejected(self):
-        # The closed form sums terms up to 2 * dark_mean; inf or nan has no pmf.
+        # Input validation: inf or nan has no pmf.
         for mean in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 dark_matrix(mean, 4)
@@ -92,19 +88,19 @@ class TestDarkMatrix:
 class TestCrosstalkMatrix:
     def test_zero_crosstalk_identity(self):
         chan = crosstalk_matrix(0.0, 5)
-        assert np.array_equal(chan.entries, np.eye(6))
+        assert np.array_equal(chan, np.eye(6))
 
     def test_single_fired_cell(self):
         chan = crosstalk_matrix(0.12, 4, 8)
         np.testing.assert_allclose(
-            chan.entries[:4, 1], [0.0, 0.88, 0.12, 0.0], atol=1e-15
+            chan[:4, 1], [0.0, 0.88, 0.12, 0.0], atol=1e-15
         )
 
     def test_two_fired_cells(self):
         chan = crosstalk_matrix(0.12, 4, 8)
-        assert chan.entries[2, 2] == pytest.approx(0.7744, abs=1e-12)
-        assert chan.entries[3, 2] == pytest.approx(0.2112, abs=1e-12)
-        assert chan.entries[4, 2] == pytest.approx(0.0144, abs=1e-12)
+        assert chan[2, 2] == pytest.approx(0.7744, abs=1e-12)
+        assert chan[3, 2] == pytest.approx(0.2112, abs=1e-12)
+        assert chan[4, 2] == pytest.approx(0.0144, abs=1e-12)
 
     @pytest.mark.parametrize("eps", [-0.1, 1.0])
     def test_domain_errors(self, eps):
@@ -112,22 +108,21 @@ class TestCrosstalkMatrix:
             crosstalk_matrix(eps, 4)
 
     def test_truncation_recorded(self):
-        chan = crosstalk_matrix(0.3, 6, 6)
-        total = chan.entries.sum(axis=0) + chan.column_truncation
-        np.testing.assert_allclose(total, np.ones(7), atol=1e-12)
-        assert chan.column_truncation[6] > 0.0
+        short, long = crosstalk_matrix(0.3, 6, 6), crosstalk_matrix(0.3, 6, 12)
+        np.testing.assert_allclose(short, long[:7], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(long.sum(axis=0), np.ones(7), atol=1e-12)
 
 
 class TestComposeChannel:
     def test_ideal_is_identity_bitwise(self):
         chan = compose_channel(DetectorParams.ideal(), 8)
-        assert np.array_equal(chan.entries, np.eye(9))
+        assert np.array_equal(chan, np.eye(9))
 
     def test_column_stochastic_within_truncation(self):
-        chan = compose_channel(PAPER_DET_H, 12, 12)
-        sums = chan.entries.sum(axis=0)
-        assert np.all(sums <= 1.0 + 1e-12)
-        np.testing.assert_allclose(sums + chan.column_truncation, np.ones(13), atol=1e-10)
+        # 148 = 2 (12 + 2 ceil(dark) + 60) rows hold every column's mass.
+        short, long = compose_channel(PAPER_DET_H, 12, 12), compose_channel(PAPER_DET_H, 12, 148)
+        np.testing.assert_allclose(short, long[:13], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(long.sum(axis=0), np.ones(13), atol=1e-12)
 
     def test_vacuum_column_against_event_oracle(self):
         # Vacuum through the channel is dark counts broadened by
@@ -137,16 +132,16 @@ class TestComposeChannel:
         rng = np.random.default_rng(99)
         draws = detect_count(np.zeros(trials, dtype=np.int64), PAPER_DET_H, rng)
         hist = np.bincount(draws, minlength=13)[:13] / trials
-        occupied = int((chan.entries[:, 0] > 1e-12).sum())
+        occupied = int((chan[:, 0] > 1e-12).sum())
         bound = 5.0 * math.sqrt(occupied / trials)
-        assert total_variation(hist, chan.entries[:, 0]) < bound
+        assert total_variation(hist, chan[:, 0]) < bound
 
     def test_dark_loss_order_matters(self):
         # Applying darks before loss would thin the dark counts too; the
         # two orders must differ on a thermal input.
         n = 20
-        loss = loss_matrix(0.25, n).entries
-        dark = dark_matrix(0.11, n).entries
+        loss = loss_matrix(0.25, n)
+        dark = dark_matrix(0.11, n)
         thermal_in = thermal_pmf(1.0, n).probs
         dark_after = dark @ loss @ thermal_in
         dark_before = loss @ dark @ thermal_in
@@ -160,8 +155,7 @@ SHAPES = [(12, 6), (12, 12), (6, 40)]
 class TestKernelsAgainstScipy:
     """The closed-form kernels agree with scipy's to 1e-12 relative.
 
-    Dark mean 1e-24 is where stage-1 darks sit at their bound; there the
-    overflow is about 1e-24, which ``1 - cdf`` would round to 0.
+    Dark mean 1e-24 is where stage-1 darks sit at their bound.
 
     ``atol=1e-300`` only admits differences among subnormal values, where
     no relative accuracy exists (e.g. dark mean 1e-24 at 13+ counts).
@@ -173,10 +167,7 @@ class TestKernelsAgainstScipy:
         chan = dark_matrix(dark_mean, n_in, n_out)
         k = np.arange(n_out + 1)[:, None] - np.arange(n_in + 1)[None, :]
         pmf = np.where(k >= 0, poisson.pmf(np.maximum(k, 0), dark_mean), 0.0)
-        n = np.arange(n_in + 1)
-        tail = np.where(n <= n_out, poisson.sf(n_out - n, dark_mean), 1.0)
-        np.testing.assert_allclose(chan.entries, pmf, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(chan.column_truncation, tail, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(chan, pmf, rtol=1e-12, atol=1e-300)
 
     @pytest.mark.parametrize("dim", [1, 2, 13, 41, 61])
     def test_log_binom_table_matches_gammaln(self, dim):
@@ -201,10 +192,10 @@ class TestKernelsAgainstScipy:
             return np.where(ok, np.exp(log_c + k * np.log(p) + (trials - k) * np.log1p(-p)), 0.0)
 
         np.testing.assert_allclose(
-            loss_matrix(0.37, n_in, n_out).entries, binom_pmf(n, m, 0.37), rtol=1e-12, atol=1e-300
+            loss_matrix(0.37, n_in), binom_pmf(n, n.T, 0.37), rtol=1e-12, atol=1e-300
         )
         np.testing.assert_allclose(
-            crosstalk_matrix(0.12, n_in, n_out).entries,
+            crosstalk_matrix(0.12, n_in, n_out),
             binom_pmf(n, m - n, 0.12),
             rtol=1e-12,
             atol=1e-300,
@@ -219,43 +210,54 @@ _crosstalks = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _examples = settings(max_examples=60, deadline=None, derandomize=True)
 
 
-def _assert_accounted(chan):
-    """Every column's entries plus its recorded overflow sum to 1."""
-    assert np.all(chan.entries >= 0.0) and np.all(chan.column_truncation >= 0.0)
-    np.testing.assert_allclose(
-        chan.entries.sum(axis=0) + chan.column_truncation, 1.0, rtol=0.0, atol=1e-12
-    )
+def _assert_drops_rows(build, n_in, n_out, dark=0.0):
+    """``build(n_out)`` is the top rows of a channel whose range covers the support.
+
+    Dark counts past ``2 ceil(dark) + 60`` are negligible and crosstalk at
+    most doubles the fired cells, so ``2 (n_in + 2 ceil(dark) + 60)``
+    rows hold every column's mass. A short range must drop the rows below
+    it, not clamp them into its top bin.
+    """
+    full = build(2 * (n_in + 2 * math.ceil(dark) + 60))
+    assert np.all(full >= 0.0)
+    np.testing.assert_allclose(full.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    # atol admits only differences among subnormal values.
+    np.testing.assert_allclose(build(n_out), full[: n_out + 1], rtol=1e-12, atol=1e-300)
 
 
 class TestChannelProperties:
     @_examples
-    @given(eta=_efficiencies, n_in=_dims, n_out=_dims)
-    def test_loss_accounts_for_all_mass(self, eta, n_in, n_out):
-        _assert_accounted(loss_matrix(eta, n_in, n_out))
+    @given(eta=_efficiencies, n=_dims)
+    def test_loss_accounts_for_all_mass(self, eta, n):
+        chan = loss_matrix(eta, n)
+        assert np.all(chan >= 0.0)
+        np.testing.assert_allclose(chan.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
 
     @_examples
     @given(dark=_darks, n_in=_dims, n_out=_dims)
     def test_dark_accounts_for_all_mass(self, dark, n_in, n_out):
-        _assert_accounted(dark_matrix(dark, n_in, n_out))
+        _assert_drops_rows(lambda top: dark_matrix(dark, n_in, top), n_in, n_out, dark)
 
     @_examples
     @given(eps=_crosstalks, n_in=_dims, n_out=_dims)
     def test_crosstalk_accounts_for_all_mass(self, eps, n_in, n_out):
-        _assert_accounted(crosstalk_matrix(eps, n_in, n_out))
+        _assert_drops_rows(lambda top: crosstalk_matrix(eps, n_in, top), n_in, n_out)
 
     @_examples
     @given(dark=_darks, eps=_crosstalks, n_in=_dims, n_out=_dims)
     def test_after_loss_accounts_for_all_mass(self, dark, eps, n_in, n_out):
-        _assert_accounted(after_loss_channel(dark, eps, n_in, n_out))
+        _assert_drops_rows(
+            lambda top: after_loss_channel(dark, eps, n_in, top), n_in, n_out, dark
+        )
 
     @_examples
     @given(eta=_efficiencies, dark=_darks, eps=_crosstalks, n_in=_dims, n_out=_dims)
     def test_composed_channel_accounts_for_all_mass(self, eta, dark, eps, n_in, n_out):
-        chan = compose_channel(DetectorParams(eta, dark, eps), n_in, n_out)
-        _assert_accounted(chan)
-        after_loss = after_loss_channel(dark, eps, n_in, n_out).entries
+        params = DetectorParams(eta, dark, eps)
+        _assert_drops_rows(lambda top: compose_channel(params, n_in, top), n_in, n_out, dark)
         np.testing.assert_array_equal(
-            chan.entries, after_loss @ loss_matrix(eta, n_in).entries
+            compose_channel(params, n_in, n_out),
+            after_loss_channel(dark, eps, n_in, n_out) @ loss_matrix(eta, n_in),
         )
 
     @_examples
@@ -269,10 +271,31 @@ class TestChannelProperties:
         # misses its recorded tail, so the output can fall short of the
         # exact thermal by at most that much, and never exceed it.
         thermal_in = thermal_pmf(mean, n_max)
-        out = loss_matrix(eta, n_max).entries @ thermal_in.probs
+        out = loss_matrix(eta, n_max) @ thermal_in.probs
         shortfall = thermal_pmf(eta * mean, n_max).probs - out
         assert np.all(shortfall >= -1e-12)
         assert shortfall.sum() <= thermal_in.tail_mass + 1e-12
+
+    @settings(_examples, max_examples=40)
+    @given(
+        eta=st.floats(min_value=0.01, max_value=1.0),
+        dark=st.floats(min_value=0.0, max_value=3.0),
+        eps=st.floats(min_value=0.0, max_value=0.5),
+        n=st.integers(min_value=0, max_value=8),
+        n_out=st.integers(min_value=0, max_value=12),
+    )
+    def test_monte_carlo_matches_channel(self, eta, dark, eps, n, n_out):
+        # Event-level draws of n photons, with every count above n_out in
+        # one overflow bin, against the channel column and the mass the
+        # channel drops below its range.
+        trials = 2 * 10 ** 4
+        params = DetectorParams(eta, dark, eps)
+        draws = detect_count(np.full(trials, n, dtype=np.int64), params, np.random.default_rng(7))
+        hist = np.bincount(np.minimum(draws, n_out + 1), minlength=n_out + 2) / trials
+        column = compose_channel(params, n, n_out)[:, n]
+        expected = np.append(column, 1.0 - column.sum())
+        occupied = int((expected > 1e-12).sum())
+        assert total_variation(hist, expected) < 5.0 * math.sqrt(occupied / trials)
 
 
 class TestApplyTwoMode:

@@ -1,4 +1,5 @@
-"""Which modules the package loads, checked in fresh interpreters.
+"""Which modules the package loads, checked in fresh interpreters, and
+which names it exports.
 
 ``import photoncorr.cli`` pulls in the whole package, so it must load
 numpy only: ``scipy.optimize`` is imported by the fit functions when they
@@ -55,3 +56,8 @@ def test_fit_stage1_imports_optimizer_on_first_use():
     before, after, detected_mean_h, residual = result
     assert not before and after
     assert 0.0 < detected_mean_h < 5.0 and residual >= 0.0
+
+
+def test_every_exported_name_resolves():
+    # A stale ``__all__`` entry breaks only ``from photoncorr import *``.
+    assert [name for name in photoncorr.__all__ if not hasattr(photoncorr, name)] == []

@@ -102,7 +102,7 @@ class TestStage1:
         config = FitConfig(n_max=40)
         s1 = fit_stage1(counts, config)
         marg_h, marg_v = (
-            after_loss_channel(det.dark_mean, det.crosstalk, config.n_max, n_out).entries
+            after_loss_channel(det.dark_mean, det.crosstalk, config.n_max, n_out)
             @ thermal_pmf(det.efficiency * 4.1, config.n_max).probs
             for det in (det_h, det_v)
         )
@@ -283,6 +283,14 @@ class TestBootstrap:
     def test_errors_nonnegative(self):
         g_err, d_err = bootstrap(self.make_counts(), 4, seed=1, config=FitConfig())
         assert g_err >= 0.0 and d_err >= 0.0
+
+    def test_exhausted_budget_raises(self):
+        # A resample whose stage-2 search runs out of budget fails the
+        # bootstrap; its best-so-far g does not stand in for a fit.
+        counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 3, 12)
+        stage1 = fit_stage1(counts, FitConfig())
+        with pytest.raises(FitConvergenceError):
+            bootstrap(counts, 4, 1, FitConfig(max_iterations=1), stage1)
 
     def test_identical_streams_give_zero_spread(self):
         # Degenerate determinism check: two resamples drawn from the

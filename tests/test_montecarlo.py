@@ -67,7 +67,7 @@ class TestDetectCount:
         chan = compose_channel(PAPER_DET_H, 6, 14)
         out = detect_count(np.full(trials, n, dtype=np.int64), PAPER_DET_H, rng)
         hist = np.bincount(out, minlength=15)[:15] / trials
-        assert total_variation(hist, chan.entries[:, n]) < 0.01
+        assert total_variation(hist, chan[:, n]) < 0.01
 
     def test_scalar_interface(self, rng):
         out = detect_count(3, PAPER_DET_H, rng)
