@@ -25,23 +25,14 @@ import numpy as np
 from . import __version__
 from .distributions import SourceParams
 from .detector import DetectorParams
-from .inference import (
-    FitConfig,
-    FitConvergenceError,
-    FitResult,
-    bootstrap,
-    fit_counts,
-    fit_stage1,
-    fit_stage2,
-    reconstruct,
-)
+from .inference import FitConfig, FitConvergenceError, FitResult, fit_counts, reconstruct
 from .io import (
-    counts_to_text,
     atomic_write_text,
     read_counts,
     sum_difference_to_text,
     sum_difference_view,
-    distribution_to_text,
+    write_counts,
+    write_distribution,
     write_json,
 )
 from .measures import (
@@ -70,38 +61,56 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _block(config: dict, key: str) -> dict:
+    block = _require(config, key)
+    if not isinstance(block, dict):
+        raise ConfigError(f"config key {key!r} must be an object, got {block!r}")
+    return block
+
+
+def _convert(kind, value, key: str):
+    """``kind(value)`` for a config value, with any failure a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"config key {key!r}: not a valid {kind.__name__}: {value!r}") from err
+
+
 def _source_from_config(config: dict) -> SourceParams:
-    src = _require(config, "source")
+    src = _block(config, "source")
     try:
         return SourceParams(
-            mean_photons=float(_require(src, "mean_photons")),
-            correlation=float(_require(src, "correlation")),
+            mean_photons=_convert(float, _require(src, "mean_photons"), "mean_photons"),
+            correlation=_convert(float, _require(src, "correlation"), "correlation"),
         )
     except ValueError as err:
         raise ConfigError(f"invalid source parameters: {err}") from err
 
 
 def _detector_from_config(config: dict, key: str) -> DetectorParams:
-    det = _require(config, key)
+    det = _block(config, key)
     try:
         return DetectorParams(
-            efficiency=float(_require(det, "efficiency")),
-            dark_mean=float(_require(det, "dark_mean")),
-            crosstalk=float(_require(det, "crosstalk")),
+            efficiency=_convert(float, _require(det, "efficiency"), "efficiency"),
+            dark_mean=_convert(float, _require(det, "dark_mean"), "dark_mean"),
+            crosstalk=_convert(float, _require(det, "crosstalk"), "crosstalk"),
         )
     except ValueError as err:
         raise ConfigError(f"invalid {key} parameters: {err}") from err
 
 
-def _fit_config(config: dict, weighting_override: str | None) -> FitConfig:
-    fit = config.get("fit", {})
+def _fit_config(config: dict) -> FitConfig:
+    # Unknown keys are ignored: configs written for earlier versions carry
+    # a "weighting" key.
+    fit = _block(config, "fit") if "fit" in config else {}
     default = FitConfig()
     try:
         return FitConfig(
-            max_iterations=int(fit.get("max_iterations", default.max_iterations)),
-            convergence_tol=float(fit.get("convergence_tol", default.convergence_tol)),
-            weighting=weighting_override or fit.get("weighting", default.weighting),
-            n_max=int(fit.get("n_max", default.n_max)),
+            max_iterations=_convert(
+                int, fit.get("max_iterations", default.max_iterations), "max_iterations"),
+            convergence_tol=_convert(
+                float, fit.get("convergence_tol", default.convergence_tol), "convergence_tol"),
+            n_max=_convert(int, fit.get("n_max", default.n_max), "n_max"),
         )
     except ValueError as err:
         raise ConfigError(f"invalid fit configuration: {err}") from err
@@ -129,15 +138,14 @@ def _sim_config(config: dict, args) -> SimConfig:
         raise ConfigError("shots must be given in the config or with --shots")
     if seed is None:
         raise ConfigError("seed must be given in the config or with --seed")
-    n_max = int(config.get("n_max", 16))
     try:
         return SimConfig(
             source=_source_from_config(config),
             det_h=_detector_from_config(config, "detector_h"),
             det_v=_detector_from_config(config, "detector_v"),
-            shots=int(shots),
-            seed=int(seed),
-            n_max=n_max,
+            shots=_convert(int, shots, "shots"),
+            seed=_convert(int, seed, "seed"),
+            n_max=_convert(int, config.get("n_max", 16), "n_max"),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -172,8 +180,8 @@ def _sim_config_dict(sim: SimConfig) -> dict:
     }
 
 
-def fit_result_dict(fit: FitResult, stage1=None) -> dict:
-    out = {
+def fit_result_dict(fit: FitResult) -> dict:
+    return {
         "mean_photons": fit.source.mean_photons,
         "correlation": fit.source.correlation,
         "detector_h": dataclasses.asdict(fit.det_h),
@@ -181,10 +189,8 @@ def fit_result_dict(fit: FitResult, stage1=None) -> dict:
         "residual": fit.residual,
         "g_error": fit.g_error,
         "distance_error": fit.distance_error,
+        "stage1": dataclasses.asdict(fit.stage1),
     }
-    if stage1 is not None:
-        out["stage1"] = dataclasses.asdict(stage1)
-    return out
 
 
 def cmd_simulate(args) -> int:
@@ -194,7 +200,7 @@ def cmd_simulate(args) -> int:
     counts = simulate(sim)
     os.makedirs(args.out, exist_ok=True)
     counts_path = os.path.join(args.out, "counts.csv")
-    atomic_write_text(counts_path, counts_to_text(counts))
+    write_counts(counts, counts_path)
     _write_manifest(
         args.out, "simulate", _sim_config_dict(sim), sim.seed,
         inputs=[args.config] if args.config else [],
@@ -239,24 +245,19 @@ def cmd_measure(args) -> int:
 def cmd_fit(args) -> int:
     started = time.time()
     config = _load_config(args.config)
-    fit_cfg = _fit_config(config, args.weighting)
+    fit_cfg = _fit_config(config)
     counts = read_counts(args.counts)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    stage1 = fit_stage1(counts, fit_cfg)
-    fit = fit_stage2(counts, stage1, fit_cfg)
-    if args.bootstrap:
-        g_err, d_err = bootstrap(counts, args.bootstrap, int(seed), fit_cfg, stage1)
-        fit = dataclasses.replace(fit, g_error=g_err, distance_error=d_err)
+    seed = _convert(int, args.seed if args.seed is not None else config.get("seed", 0), "seed")
+    fit = fit_counts(counts, fit_cfg, n_bootstrap=args.bootstrap, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.json")
-    result = fit_result_dict(fit, stage1)
+    result = fit_result_dict(fit)
     result["manifest"] = "fit_manifest.json"
     write_json(result, fit_path)
     outputs = [fit_path]
     if args.reconstruct is not None:
-        recon = reconstruct(fit, args.reconstruct)
         recon_path = os.path.join(args.out, "reconstruction.csv")
-        atomic_write_text(recon_path, distribution_to_text(recon))
+        write_distribution(reconstruct(fit, args.reconstruct), recon_path)
         outputs.append(recon_path)
     _write_manifest(
         args.out, "fit",
@@ -280,24 +281,24 @@ def cmd_sweep(args) -> int:
     if args.g_list is not None:
         g_values = [float(v) for v in args.g_list.split(",") if v]
     elif "g_list" in config:
-        g_values = [float(v) for v in config["g_list"]]
+        if not isinstance(config["g_list"], list):
+            raise ConfigError(f"config key 'g_list' must be a list, got {config['g_list']!r}")
+        g_values = [_convert(float, v, "g_list") for v in config["g_list"]]
     else:
         raise ConfigError("g list must be given in the config or with --g-list")
-    fit_cfg = _fit_config(config, args.weighting)
+    fit_cfg = _fit_config(config)
     base = _sim_config(config, args)
     rows = []
     for index, g in enumerate(g_values):
-        source = SourceParams(mean_photons=base.source.mean_photons, correlation=g)
-        sim = SimConfig(
-            source=source, det_h=base.det_h, det_v=base.det_v,
-            shots=base.shots, seed=base.seed + index, n_max=base.n_max,
+        sim = dataclasses.replace(
+            base, source=dataclasses.replace(base.source, correlation=g), seed=base.seed + index
         )
         counts = simulate(sim)
         dist = normalize(counts)
-        gamma = heralded_efficiency(source, base.det_h, base.det_v)
+        gamma = heralded_efficiency(sim.source, sim.det_h, sim.det_v)
         mean_ratio = mean_interior_ratio(ratio_matrix(dist))
         distance = product_distance(singular_spectrum(dist))
-        fit = fit_counts(counts, fit_cfg, n_bootstrap=args.bootstrap or 0, seed=sim.seed)
+        fit = fit_counts(counts, fit_cfg, n_bootstrap=args.bootstrap, seed=sim.seed)
         rows.append(
             (g, gamma, mean_ratio, distance, fit.source.correlation,
              fit.g_error, fit.distance_error)
@@ -342,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="two-stage least-squares fit of a counts file")
     p_fit.add_argument("counts", help="counts CSV produced by simulate")
     p_fit.add_argument("--config", default=None, help="JSON config with a 'fit' section")
-    p_fit.add_argument("--weighting", choices=["unweighted", "poisson"], default=None)
     p_fit.add_argument("--bootstrap", type=int, default=0, metavar="N",
                        help="number of Poisson resamples for error bars")
     p_fit.add_argument("--seed", type=int, default=None, help="bootstrap seed")
@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--g-list", default=None, help="comma-separated g values")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--shots", type=int, default=None)
-    p_sweep.add_argument("--weighting", choices=["unweighted", "poisson"], default=None)
     p_sweep.add_argument("--bootstrap", type=int, default=0, metavar="N")
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)

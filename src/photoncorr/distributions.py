@@ -158,32 +158,27 @@ def thermal_pmf(mean: float, n_max: int, tail_tol: float | None = None) -> Margi
     return Marginal(n_max=n_max, probs=probs, tail_mass=tail)
 
 
-def pdc_joint(mean: float, n_max: int, tail_tol: float | None = None) -> JointDistribution:
+def pdc_joint(mean: float, n_max: int) -> JointDistribution:
     """Perfectly correlated two-mode distribution: equal photon numbers.
 
     Diagonal entries carry the thermal law; off-diagonal entries are
     exactly zero.
     """
-    marg = thermal_pmf(mean, n_max, tail_tol=tail_tol)
+    marg = thermal_pmf(mean, n_max)
     probs = np.zeros((n_max + 1, n_max + 1))
     np.fill_diagonal(probs, marg.probs)
     return JointDistribution(n_max=n_max, probs=probs, tail_mass=marg.tail_mass)
 
 
-def product_joint(mean: float, n_max: int, tail_tol: float | None = None) -> JointDistribution:
+def product_joint(mean: float, n_max: int) -> JointDistribution:
     """Uncorrelated product of two thermal modes with a common mean."""
     marg = thermal_pmf(mean, n_max)
     probs = np.outer(marg.probs, marg.probs)
     t = marg.tail_mass
-    tail = 2.0 * t - t * t
-    if tail_tol is not None and tail > tail_tol:
-        raise ValueError(f"truncation tail {tail:.3e} exceeds tolerance {tail_tol:.3e}")
-    return JointDistribution(n_max=n_max, probs=probs, tail_mass=tail)
+    return JointDistribution(n_max=n_max, probs=probs, tail_mass=2.0 * t - t * t)
 
 
-def mixture_joint(
-    params: SourceParams, n_max: int, tail_tol: float | None = None
-) -> JointDistribution:
+def mixture_joint(params: SourceParams, n_max: int) -> JointDistribution:
     """Source model: ``g * correlated + (1 - g) * product``, entrywise.
 
     Both components share the same thermal marginals, so the marginals of
@@ -194,8 +189,6 @@ def mixture_joint(
     prod = product_joint(params.mean_photons, n_max)
     probs = g * corr.probs + (1.0 - g) * prod.probs
     tail = g * corr.tail_mass + (1.0 - g) * prod.tail_mass
-    if tail_tol is not None and tail > tail_tol:
-        raise ValueError(f"truncation tail {tail:.3e} exceeds tolerance {tail_tol:.3e}")
     return JointDistribution(n_max=n_max, probs=probs, tail_mass=tail)
 
 

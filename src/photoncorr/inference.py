@@ -36,7 +36,7 @@ import numpy as np
 from .detector import DetectorParams, after_loss_channel, loss_matrix
 from .distributions import JointDistribution, SourceParams, mixture_joint, thermal_pmf
 from .measures import product_distance, singular_spectrum
-from .montecarlo import CountsMatrix, normalize
+from .montecarlo import CountsMatrix, _stream_rng, normalize
 
 _DARK_MAX = 5.0
 _XTALK_MAX = 0.45
@@ -64,7 +64,6 @@ class FitConfig:
 
     max_iterations: int = 4000
     convergence_tol: float = 1e-14
-    weighting: str = "poisson"
     n_max: int = 40
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class FitConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (self.convergence_tol > 0.0):
             raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
-        if self.weighting not in ("unweighted", "poisson"):
-            raise ValueError(f"weighting must be 'unweighted' or 'poisson', got {self.weighting!r}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
@@ -93,12 +90,17 @@ class Stage1Result:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Full fitted model with optional bootstrap uncertainties."""
+    """Full fitted model with optional bootstrap uncertainties.
+
+    ``stage1`` is the stage-1 fit whose detected means, darks and
+    crosstalk the model holds fixed.
+    """
 
     source: SourceParams
     det_h: DetectorParams
     det_v: DetectorParams
     residual: float
+    stage1: Stage1Result
     g_error: float | None = None
     distance_error: float | None = None
 
@@ -117,10 +119,9 @@ class FitConvergenceError(RuntimeError):
         self.objective = objective
 
 
-def _weights(counts: CountsMatrix, config: FitConfig) -> np.ndarray:
-    if config.weighting == "poisson":
-        return 1.0 / np.maximum(counts.counts, 1)
-    return np.ones_like(counts.counts, dtype=float)
+def _weights(counts: CountsMatrix) -> np.ndarray:
+    # Inverse observed counts (Neyman's chi-squared); empty cells weigh 1.
+    return 1.0 / np.maximum(counts.counts, 1)
 
 
 def _detected_marginal(
@@ -160,7 +161,7 @@ def fit_stage1(
     if np.count_nonzero(emp_h) < 2 or np.count_nonzero(emp_v) < 2:
         raise ValueError("marginal with fewer than 2 occupied bins cannot constrain the fit")
     target = np.outer(emp_h, emp_v)
-    sqrt_w = np.sqrt(_weights(counts, config))
+    sqrt_w = np.sqrt(_weights(counts))
     n_out = counts.n_max
     n_model = config.n_max
     best = math.inf
@@ -242,7 +243,7 @@ def fit_stage2(
 
     config = config or FitConfig()
     emp = counts.counts / counts.shots
-    w = _weights(counts, config)
+    w = _weights(counts)
     n_out = counts.n_max
     n_model = config.n_max
 
@@ -311,6 +312,7 @@ def fit_stage2(
             crosstalk=stage1.xtalk_v,
         ),
         residual=fval,
+        stage1=stage1,
     )
 
 
@@ -340,10 +342,6 @@ def poisson_resample(counts: CountsMatrix, rng: np.random.Generator) -> CountsMa
     raise ValueError("resampling produced only empty histograms; counts are too sparse")
 
 
-def _resample_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-
-
 def bootstrap(
     counts: CountsMatrix,
     n_resamples: int = 100,
@@ -369,7 +367,7 @@ def bootstrap(
     g_samples = np.empty(n_resamples)
     d_samples = np.empty(n_resamples)
     for r in range(n_resamples):
-        resampled = poisson_resample(counts, _resample_rng(seed, r))
+        resampled = poisson_resample(counts, _stream_rng(seed, r))
         d_samples[r] = product_distance(singular_spectrum(normalize(resampled)))
         g_samples[r] = fit_stage2(resampled, stage1, config).source.correlation
     return float(g_samples.std(ddof=1)), float(d_samples.std(ddof=1))
@@ -381,11 +379,15 @@ def fit_counts(
     n_bootstrap: int = 0,
     seed: int = 0,
 ) -> FitResult:
-    """Run both stages, optionally followed by bootstrap error estimation."""
+    """Run both stages, then the bootstrap unless ``n_bootstrap`` is 0.
+
+    Any other ``n_bootstrap`` goes to ``bootstrap``, which rejects values
+    below 2.
+    """
     config = config or FitConfig()
     stage1 = fit_stage1(counts, config)
     result = fit_stage2(counts, stage1, config)
-    if n_bootstrap > 0:
+    if n_bootstrap:
         g_err, d_err = bootstrap(counts, n_bootstrap, seed, config, stage1)
         result = replace(result, g_error=g_err, distance_error=d_err)
     return result

@@ -93,24 +93,16 @@ def ratio_matrix(joint: JointDistribution) -> RatioMatrix:
     return RatioMatrix(n_max=joint.n_max, values=values)
 
 
-def mean_interior_ratio(ratio: RatioMatrix, weights: np.ndarray | None = None) -> float:
+def mean_interior_ratio(ratio: RatioMatrix) -> float:
     """Average ratio over defined cells with at least one photon in each mode.
 
-    The default is the unweighted arithmetic mean. Passing ``weights``
-    (same shape as the ratio matrix, e.g. the joint probabilities) gives
-    the probability-weighted variant instead.
+    The unweighted arithmetic mean; NaN if no such cell is defined.
     """
     interior = ratio.values[1:, 1:]
     mask = ~np.isnan(interior)
     if not mask.any():
         return float("nan")
-    if weights is None:
-        return float(interior[mask].mean())
-    w = np.asarray(weights, dtype=float)[1:, 1:]
-    w_sum = w[mask].sum()
-    if w_sum <= 0.0:
-        return float("nan")
-    return float((interior[mask] * w[mask]).sum() / w_sum)
+    return float(interior[mask].mean())
 
 
 def singular_spectrum(joint: JointDistribution) -> SingularSpectrum:

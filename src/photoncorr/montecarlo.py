@@ -82,51 +82,42 @@ def _thermal_draw(mean: float, rng: np.random.Generator, size: int) -> np.ndarra
 
 
 def sample_pair(
-    source: SourceParams, rng: np.random.Generator, size: int | None = None
-) -> tuple[np.ndarray, np.ndarray] | tuple[int, int]:
-    """Draw photon-number pairs from the source mixture.
+    source: SourceParams, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``size`` photon-number pairs from the source mixture.
 
     With probability ``g`` the pulse comes from the correlated component
     (identical thermal numbers in both modes), otherwise the two modes
-    are independent thermal draws. Returns a pair of ints for
-    ``size=None``, else a pair of arrays.
+    are independent thermal draws.
     """
-    n = 1 if size is None else size
-    correlated = rng.random(n) < source.correlation
-    shared = _thermal_draw(source.mean_photons, rng, n)
-    n_h = _thermal_draw(source.mean_photons, rng, n)
-    n_v = _thermal_draw(source.mean_photons, rng, n)
-    n_h = np.where(correlated, shared, n_h)
-    n_v = np.where(correlated, shared, n_v)
-    if size is None:
-        return int(n_h[0]), int(n_v[0])
-    return n_h, n_v
+    correlated = rng.random(size) < source.correlation
+    shared = _thermal_draw(source.mean_photons, rng, size)
+    n_h = _thermal_draw(source.mean_photons, rng, size)
+    n_v = _thermal_draw(source.mean_photons, rng, size)
+    return np.where(correlated, shared, n_h), np.where(correlated, shared, n_v)
 
 
 def detect_count(
-    n: int | np.ndarray, params: DetectorParams, rng: np.random.Generator
-) -> int | np.ndarray:
-    """Push true photon numbers through one detector, event by event.
+    n: np.ndarray, params: DetectorParams, rng: np.random.Generator
+) -> np.ndarray:
+    """Push an array of true photon numbers through one detector, event by event.
 
     Survivors of binomial loss plus Poisson dark counts give the fired
     cells; each fired cell independently adds one extra count with the
     crosstalk probability.
     """
-    n_arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    survivors = rng.binomial(n_arr, params.efficiency)
-    fired = survivors + rng.poisson(params.dark_mean, size=n_arr.shape)
-    out = fired + rng.binomial(fired, params.crosstalk)
-    if np.isscalar(n) or np.asarray(n).ndim == 0:
-        return int(out[0])
-    return out
+    survivors = rng.binomial(n, params.efficiency)
+    fired = survivors + rng.poisson(params.dark_mean, size=survivors.shape)
+    return fired + rng.binomial(fired, params.crosstalk)
 
 
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
+def _stream_rng(seed: int, index: int) -> np.random.Generator:
+    """Independent RNG stream ``index`` of ``seed`` (a Monte Carlo chunk, a resample)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
 def _simulate_chunk(config: SimConfig, index: int, shots: int) -> tuple[np.ndarray, int]:
-    rng = _chunk_rng(config.seed, index)
+    rng = _stream_rng(config.seed, index)
     n_h, n_v = sample_pair(config.source, rng, size=shots)
     m_h = detect_count(n_h, config.det_h, rng)
     m_v = detect_count(n_v, config.det_v, rng)

@@ -1,11 +1,13 @@
-"""Which modules the package loads, checked in fresh interpreters, and
-which names it exports.
+"""Which modules the package loads, checked in fresh interpreters, which
+names it exports, and that every import in it is used.
 
 ``import photoncorr.cli`` pulls in the whole package, so it must load
 numpy only: ``scipy.optimize`` is imported by the fit functions when they
 first run, and nothing uses ``scipy.stats`` or ``scipy.special``.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -61,3 +63,41 @@ def test_fit_stage1_imports_optimizer_on_first_use():
 def test_every_exported_name_resolves():
     # A stale ``__all__`` entry breaks only ``from photoncorr import *``.
     assert [name for name in photoncorr.__all__ if not hasattr(photoncorr, name)] == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never reads.
+
+    A name listed in ``__all__`` counts as read; ``__future__`` imports
+    bind nothing.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_check_sees_unread_names():
+    source = "from __future__ import annotations\nimport os, sys\nimport a.b\n" \
+             "from x import y as z, w\n__all__ = ['w']\nprint(sys)\n"
+    assert _unused_imports(source) == ["os", "a", "z"]
+
+
+def test_every_module_import_is_used():
+    unused = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "photoncorr", "*.py"))):
+        with open(path) as handle:
+            names = _unused_imports(handle.read())
+        if names:
+            unused[os.path.basename(path)] = names
+    assert unused == {}

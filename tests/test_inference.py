@@ -10,6 +10,7 @@ from photoncorr import (
     FitResult,
     SimConfig,
     SourceParams,
+    Stage1Result,
     after_loss_channel,
     apply_two_mode,
     bootstrap,
@@ -24,8 +25,8 @@ from photoncorr import (
     singular_spectrum,
     thermal_pmf,
 )
-from photoncorr.inference import fit_counts, poisson_resample, _resample_rng
-from photoncorr.montecarlo import total_variation
+from photoncorr.inference import fit_counts, poisson_resample
+from photoncorr.montecarlo import _stream_rng, total_variation
 
 from conftest import FIT_DET_H, FIT_DET_V, PAPER_DET_H, PAPER_DET_V
 
@@ -234,12 +235,16 @@ class TestStage2:
 
 
 class TestReconstruct:
+    # reconstruct reads only the fitted source.
+    STAGE1 = Stage1Result(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
     def test_full_correlation_is_diagonal(self):
         fit = FitResult(
             source=SourceParams(2.0, 1.0),
             det_h=PAPER_DET_H,
             det_v=PAPER_DET_V,
             residual=0.0,
+            stage1=self.STAGE1,
         )
         recon = reconstruct(fit, 12)
         off = recon.probs[~np.eye(13, dtype=bool)]
@@ -251,6 +256,7 @@ class TestReconstruct:
             det_h=PAPER_DET_H,
             det_v=PAPER_DET_V,
             residual=0.0,
+            stage1=self.STAGE1,
         )
         s = np.linalg.svd(reconstruct(fit, 12).probs, compute_uv=False)
         assert s[1] < 1e-12
@@ -296,7 +302,7 @@ class TestBootstrap:
         # Degenerate determinism check: two resamples drawn from the
         # same stream are identical, so any derived error is exactly 0.
         counts = self.make_counts()
-        draws = [poisson_resample(counts, _resample_rng(5, 0)) for _ in range(2)]
+        draws = [poisson_resample(counts, _stream_rng(5, 0)) for _ in range(2)]
         assert np.array_equal(draws[0].counts, draws[1].counts)
         distances = [
             product_distance(singular_spectrum(normalize(d))) for d in draws
@@ -305,7 +311,7 @@ class TestBootstrap:
 
     def test_resample_invariants(self):
         counts = self.make_counts()
-        resampled = poisson_resample(counts, _resample_rng(2, 7))
+        resampled = poisson_resample(counts, _stream_rng(2, 7))
         assert resampled.counts.sum() + resampled.overflow == resampled.shots
         assert resampled.n_max == counts.n_max
 
@@ -325,6 +331,11 @@ class TestBootstrap:
         fit = fit_counts(counts, FitConfig(n_max=40), n_bootstrap=3, seed=2)
         assert fit.g_error is not None and fit.g_error >= 0.0
         assert fit.distance_error is not None and fit.distance_error >= 0.0
+
+    def test_fit_counts_carries_stage1(self):
+        counts = self.make_counts()
+        config = FitConfig(n_max=40)
+        assert fit_counts(counts, config).stage1 == fit_stage1(counts, config)
 
 
 class TestModeSymmetry:
@@ -361,7 +372,6 @@ class TestFitConfig:
         [
             {"max_iterations": 0},
             {"convergence_tol": 0.0},
-            {"weighting": "equal"},
             {"n_max": 0},
         ],
     )

@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-import photoncorr.cli
 import photoncorr.inference
 from photoncorr import CountsMatrix, JointDistribution, SourceParams, SimConfig, simulate
 from photoncorr.cli import main
@@ -224,7 +223,7 @@ class TestFitCommand:
         manifest = read_json(str(out / "fit_manifest.json"))
         assert manifest["command"] == "fit"
         assert set(manifest["config"]["fit"]) == {
-            "max_iterations", "convergence_tol", "weighting", "n_max",
+            "max_iterations", "convergence_tol", "n_max",
         }
 
     def test_bootstrap_fits_stage1_once(self, tmp_path, monkeypatch):
@@ -236,21 +235,22 @@ class TestFitCommand:
             calls.append(args)
             return fit_stage1(*args, **kwargs)
 
-        monkeypatch.setattr(photoncorr.cli, "fit_stage1", counted)
         monkeypatch.setattr(photoncorr.inference, "fit_stage1", counted)
         code = main(["fit", counts_path, "--config", config, "--out", str(tmp_path / "fit"),
                      "--bootstrap", "3"])
         assert code == 0
         assert len(calls) == 1
 
-    def test_weighting_flag(self, tmp_path):
+    def test_weighting_key_ignored(self, tmp_path):
+        # Configs written for earlier versions carry a "weighting" key.
         config, counts_path = self.make_counts_file(tmp_path)
-        out = tmp_path / "fit_unweighted"
-        code = main(["fit", counts_path, "--config", config, "--out", str(out),
-                     "--weighting", "unweighted"])
-        assert code == 0
-        manifest = read_json(str(out / "fit_manifest.json"))
-        assert manifest["config"]["fit"]["weighting"] == "unweighted"
+        legacy = write_config(tmp_path / "legacy.json", fit={"weighting": "poisson", "n_max": 30})
+        fits = []
+        for name, path in (("plain", config), ("legacy", legacy)):
+            out = tmp_path / name
+            assert main(["fit", counts_path, "--config", path, "--out", str(out)]) == 0
+            fits.append((out / "fit.json").read_bytes())
+        assert fits[0] == fits[1]
 
     def test_non_convergence_exit_code(self, tmp_path):
         config_path = tmp_path / "starved.json"
@@ -267,6 +267,44 @@ class TestFitCommand:
         code = main(["fit", counts_path, "--config", str(config_path),
                      "--out", str(tmp_path / "bad_fit")])
         assert code == 2
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, overrides", [
+        pytest.param("fit", {"fit": {"n_max": None}}, id="fit-n_max-null"),
+        pytest.param("fit", {"fit": [1]}, id="fit-list"),
+        pytest.param("fit", {"fit": {"max_iterations": float("inf")}}, id="fit-iterations-inf"),
+        pytest.param("fit", {"seed": [5]}, id="fit-seed-list"),
+        pytest.param("simulate", {"source": {"mean_photons": None}}, id="mean-null"),
+        pytest.param("simulate", {"source": None}, id="source-null"),
+        pytest.param("simulate", {"detector_h": {"efficiency": [0.5]}}, id="efficiency-list"),
+        pytest.param("simulate", {"shots": [1]}, id="shots-list"),
+        pytest.param("simulate", {"seed": [13]}, id="seed-list"),
+        pytest.param("simulate", {"n_max": None}, id="n_max-null"),
+        pytest.param("sweep", {"g_list": None}, id="g_list-null"),
+        pytest.param("sweep", {"g_list": [None]}, id="g_list-item-null"),
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, command, overrides):
+        config = write_config(tmp_path / "config.json", **overrides)
+        counts = CountsMatrix(n_max=1, counts=np.array([[3, 1], [1, 2]]), shots=7)
+        counts_path = str(tmp_path / "counts.csv")
+        write_counts(counts, counts_path)
+        argv = {
+            "fit": ["fit", counts_path, "--config", config, "--bootstrap", "2"],
+            "simulate": ["simulate", "--config", config],
+            "sweep": ["sweep", "--config", config],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_negative_bootstrap_exit_code(self, tmp_path, command):
+        config = write_config(tmp_path / "config.json")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+        argv = {
+            "fit": ["fit", str(tmp_path / "sim" / "counts.csv"), "--config", config],
+            "sweep": ["sweep", "--config", config, "--g-list", "0.5"],
+        }[command]
+        assert main(argv + ["--bootstrap", "-1", "--out", str(tmp_path / "out")]) == 2
 
 
 class TestSweepCommand:

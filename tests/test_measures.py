@@ -65,14 +65,6 @@ class TestMeanInteriorRatio:
                   for g in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_weighted_variant(self):
-        measured = forward(1.0)
-        ratio = ratio_matrix(measured)
-        weighted = mean_interior_ratio(ratio, weights=measured.probs)
-        unweighted = mean_interior_ratio(ratio)
-        assert np.isfinite(weighted) and np.isfinite(unweighted)
-        assert weighted != unweighted
-
     def test_empty_interior_is_nan(self):
         probs = np.zeros((3, 3))
         probs[0, 0] = 1.0

@@ -29,10 +29,6 @@ class TestSamplePair:
         n_h, n_v = sample_pair(SourceParams(0.0, 0.0), rng, size=1000)
         assert not n_h.any() and not n_v.any()
 
-    def test_scalar_interface(self, rng):
-        pair = sample_pair(SourceParams(1.0, 0.5), rng)
-        assert isinstance(pair[0], int) and isinstance(pair[1], int)
-
     def test_histogram_matches_mixture(self, rng):
         # Empirical pair histogram against the analytic mixture law.
         shots = 10 ** 6
@@ -68,10 +64,6 @@ class TestDetectCount:
         out = detect_count(np.full(trials, n, dtype=np.int64), PAPER_DET_H, rng)
         hist = np.bincount(out, minlength=15)[:15] / trials
         assert total_variation(hist, chan[:, n]) < 0.01
-
-    def test_scalar_interface(self, rng):
-        out = detect_count(3, PAPER_DET_H, rng)
-        assert isinstance(out, int)
 
 
 class TestSimulate:
