@@ -373,6 +373,7 @@ class TestFitConfig:
             {"max_iterations": 0},
             {"convergence_tol": 0.0},
             {"n_max": 0},
+            {"convergence_tol": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
