@@ -25,7 +25,14 @@ import numpy as np
 from . import __version__
 from .distributions import SourceParams
 from .detector import DetectorParams
-from .inference import FitConfig, FitConvergenceError, FitResult, fit_counts, reconstruct
+from .inference import (
+    FitConfig,
+    FitConvergenceError,
+    FitResult,
+    check_n_bootstrap,
+    fit_counts,
+    reconstruct,
+)
 from .io import (
     atomic_write_text,
     read_counts,
@@ -244,6 +251,8 @@ def cmd_measure(args) -> int:
 
 def cmd_fit(args) -> int:
     started = time.time()
+    if args.reconstruct is not None and args.reconstruct < 0:
+        raise ConfigError(f"--reconstruct must be >= 0, got {args.reconstruct}")
     config = _load_config(args.config)
     fit_cfg = _fit_config(config)
     counts = read_counts(args.counts)
@@ -288,6 +297,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("g list must be given in the config or with --g-list")
     fit_cfg = _fit_config(config)
     base = _sim_config(config, args)
+    check_n_bootstrap(args.bootstrap)
     rows = []
     for index, g in enumerate(g_values):
         sim = dataclasses.replace(

@@ -373,6 +373,12 @@ def bootstrap(
     return float(g_samples.std(ddof=1)), float(d_samples.std(ddof=1))
 
 
+def check_n_bootstrap(n_bootstrap: int) -> None:
+    """Reject a resample count that is neither 0 (no bootstrap) nor at least 2."""
+    if n_bootstrap != 0 and n_bootstrap < 2:
+        raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
+
+
 def fit_counts(
     counts: CountsMatrix,
     config: FitConfig | None = None,
@@ -381,9 +387,9 @@ def fit_counts(
 ) -> FitResult:
     """Run both stages, then the bootstrap unless ``n_bootstrap`` is 0.
 
-    Any other ``n_bootstrap`` goes to ``bootstrap``, which rejects values
-    below 2.
+    An ``n_bootstrap`` of 1 or less than 0 is rejected before any fit.
     """
+    check_n_bootstrap(n_bootstrap)
     config = config or FitConfig()
     stage1 = fit_stage1(counts, config)
     result = fit_stage2(counts, stage1, config)

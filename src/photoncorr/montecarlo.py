@@ -10,10 +10,18 @@ Reproducibility contract: a ``SimConfig`` (including its seed) fully
 determines the output. Shots are split into fixed-size chunks, each with
 an RNG stream derived from ``(seed, chunk_index)``; the merged histogram
 is identical whether chunks run serially or on any number of workers.
+
+Memory: inside a chunk every random draw is made in blocks of
+``_BLOCK_SHOTS`` shots, one full pass over the blocks per kind of draw,
+so the stream order is the one a single whole-chunk call would give.
+numpy draws element by element, so the numbers are the same too. A chunk
+holds only two int64 photon-number buffers and one bool mask, about 17
+bytes per shot, which keeps a worker per available CPU cheap.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,6 +31,7 @@ from .distributions import JointDistribution, SourceParams
 from .detector import DetectorParams
 
 _CHUNK_SHOTS = 1 << 20
+_BLOCK_SHOTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +90,13 @@ def _thermal_draw(mean: float, rng: np.random.Generator, size: int) -> np.ndarra
     return rng.geometric(1.0 / (mean + 1.0), size=size) - 1
 
 
+def _blocks(size: int):
+    """``(slice, length)`` of consecutive blocks of at most ``_BLOCK_SHOTS`` in ``range(size)``."""
+    for start in range(0, size, _BLOCK_SHOTS):
+        stop = min(start + _BLOCK_SHOTS, size)
+        yield slice(start, stop), stop - start
+
+
 def sample_pair(
     source: SourceParams, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -88,13 +104,37 @@ def sample_pair(
 
     With probability ``g`` the pulse comes from the correlated component
     (identical thermal numbers in both modes), otherwise the two modes
-    are independent thermal draws.
+    are independent thermal draws. The draws come in this order: all
+    component choices, all shared numbers, all of mode h's own numbers,
+    then all of mode v's.
     """
-    correlated = rng.random(size) < source.correlation
-    shared = _thermal_draw(source.mean_photons, rng, size)
-    n_h = _thermal_draw(source.mean_photons, rng, size)
-    n_v = _thermal_draw(source.mean_photons, rng, size)
-    return np.where(correlated, shared, n_h), np.where(correlated, shared, n_v)
+    mean = source.mean_photons
+    correlated = np.empty(size, dtype=bool)
+    n_h = np.empty(size, dtype=np.int64)
+    n_v = np.empty(size, dtype=np.int64)
+    for b, n in _blocks(size):
+        correlated[b] = rng.random(n) < source.correlation
+    # n_v holds the shared numbers until mode v's own draws replace them.
+    for b, n in _blocks(size):
+        n_v[b] = _thermal_draw(mean, rng, n)
+    for b, n in _blocks(size):
+        n_h[b] = np.where(correlated[b], n_v[b], _thermal_draw(mean, rng, n))
+    for b, n in _blocks(size):
+        n_v[b] = np.where(correlated[b], n_v[b], _thermal_draw(mean, rng, n))
+    return n_h, n_v
+
+
+def _detect_in_place(m: np.ndarray, params: DetectorParams, rng: np.random.Generator) -> None:
+    """Overwrite the 1-D int64 buffer ``m`` of photon numbers with detected counts.
+
+    Loss, then darks, then crosstalk, each one full pass over the blocks.
+    """
+    for b, _ in _blocks(m.size):
+        m[b] = rng.binomial(m[b], params.efficiency)
+    for b, n in _blocks(m.size):
+        m[b] += rng.poisson(params.dark_mean, size=n)
+    for b, _ in _blocks(m.size):
+        m[b] += rng.binomial(m[b], params.crosstalk)
 
 
 def detect_count(
@@ -104,11 +144,11 @@ def detect_count(
 
     Survivors of binomial loss plus Poisson dark counts give the fired
     cells; each fired cell independently adds one extra count with the
-    crosstalk probability.
+    crosstalk probability. Returns a new array; ``n`` is left unchanged.
     """
-    survivors = rng.binomial(n, params.efficiency)
-    fired = survivors + rng.poisson(params.dark_mean, size=survivors.shape)
-    return fired + rng.binomial(fired, params.crosstalk)
+    m = np.array(n, dtype=np.int64)
+    _detect_in_place(m.reshape(-1), params, rng)  # a view: the copy is contiguous
+    return m
 
 
 def _stream_rng(seed: int, index: int) -> np.random.Generator:
@@ -118,22 +158,36 @@ def _stream_rng(seed: int, index: int) -> np.random.Generator:
 
 def _simulate_chunk(config: SimConfig, index: int, shots: int) -> tuple[np.ndarray, int]:
     rng = _stream_rng(config.seed, index)
-    n_h, n_v = sample_pair(config.source, rng, size=shots)
-    m_h = detect_count(n_h, config.det_h, rng)
-    m_v = detect_count(n_v, config.det_v, rng)
-    dim = config.n_max + 1
-    in_range = (m_h <= config.n_max) & (m_v <= config.n_max)
-    flat = m_h[in_range] * dim + m_v[in_range]
-    counts = np.bincount(flat, minlength=dim * dim).reshape(dim, dim)
-    return counts, shots - int(in_range.sum())
+    m_h, m_v = sample_pair(config.source, rng, size=shots)
+    _detect_in_place(m_h, config.det_h, rng)
+    _detect_in_place(m_v, config.det_v, rng)
+    # Clamp into one overflow row/column, so every pair lands in a cell of
+    # a (n_max+2)^2 grid whose top-left (n_max+1)^2 block is the histogram.
+    side = config.n_max + 2
+    np.minimum(m_h, side - 1, out=m_h)
+    np.minimum(m_v, side - 1, out=m_v)
+    m_h *= side
+    m_h += m_v
+    counts = np.bincount(m_h, minlength=side * side).reshape(side, side)[:-1, :-1]
+    return counts, shots - int(counts.sum())
 
 
-def simulate(config: SimConfig, workers: int = 1) -> CountsMatrix:
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity exists on Linux only
+        return os.cpu_count() or 1
+
+
+def simulate(config: SimConfig, workers: int | None = None) -> CountsMatrix:
     """Run a full acquisition and histogram the detected pairs.
 
-    The chunked execution plan is a pure function of the config, so the
-    result is byte-identical for any ``workers`` value.
+    Chunks run on ``workers`` threads, by default one per CPU available
+    to the process. The chunked execution plan is a pure function of the
+    config, so the result is byte-identical for any ``workers`` value.
     """
+    if workers is None:
+        workers = _available_cpus()
     plan = []
     remaining, index = config.shots, 0
     while remaining > 0:

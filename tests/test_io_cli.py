@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import photoncorr.cli
 import photoncorr.inference
 from photoncorr import CountsMatrix, JointDistribution, SourceParams, SimConfig, simulate
 from photoncorr.cli import main
@@ -297,14 +298,38 @@ class TestConfigErrors:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
-    def test_negative_bootstrap_exit_code(self, tmp_path, command):
+    def test_negative_bootstrap_exit_code(self, tmp_path, monkeypatch, command):
         config = write_config(tmp_path / "config.json")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("an invalid --bootstrap must be rejected before any simulation or fit")
+
+        monkeypatch.setattr(photoncorr.cli, "simulate", must_not_run)
+        monkeypatch.setattr(photoncorr.inference, "fit_stage1", must_not_run)
         argv = {
             "fit": ["fit", str(tmp_path / "sim" / "counts.csv"), "--config", config],
             "sweep": ["sweep", "--config", config, "--g-list", "0.5"],
         }[command]
-        assert main(argv + ["--bootstrap", "-1", "--out", str(tmp_path / "out")]) == 2
+        for bootstrap in ("-1", "1"):
+            out = tmp_path / f"out{bootstrap}"
+            assert main(argv + ["--bootstrap", bootstrap, "--out", str(out)]) == 2
+            assert not out.exists()
+
+    def test_negative_reconstruct_exit_code(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path / "config.json")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("an invalid --reconstruct must be rejected before the fit")
+
+        monkeypatch.setattr(photoncorr.inference, "fit_stage1", must_not_run)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["fit", str(tmp_path / "sim" / "counts.csv"), "--config", config,
+                     "--bootstrap", "100", "--reconstruct", "-1", "--out", str(out)])
+        assert code == 2
+        assert list(out.iterdir()) == []
 
 
 class TestSweepCommand:

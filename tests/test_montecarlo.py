@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import poisson
@@ -15,7 +17,13 @@ from photoncorr import (
     sample_pair,
     simulate,
 )
-from photoncorr.montecarlo import total_variation
+from photoncorr.montecarlo import (
+    _BLOCK_SHOTS,
+    _CHUNK_SHOTS,
+    _simulate_chunk,
+    _stream_rng,
+    total_variation,
+)
 
 from conftest import PAPER_DET_H, PAPER_DET_V, PAPER_MEAN
 
@@ -47,6 +55,15 @@ class TestDetectCount:
         out = detect_count(n, DetectorParams.ideal(), rng)
         assert np.array_equal(out, n)
 
+    def test_input_unchanged_and_shape_kept(self):
+        n = np.arange(3 * _BLOCK_SHOTS, dtype=np.int64) % 9
+        before = n.copy()
+        flat = detect_count(n, PAPER_DET_H, np.random.default_rng(3))
+        assert np.array_equal(n, before)
+        square = detect_count(n.reshape(2, -1), PAPER_DET_H, np.random.default_rng(3))
+        assert square.shape == (2, n.size // 2)
+        assert np.array_equal(square.reshape(-1), flat)
+
     def test_darks_only_poisson(self, rng):
         trials = 10 ** 6
         params = DetectorParams(efficiency=0.5, dark_mean=0.3, crosstalk=0.0)
@@ -64,6 +81,76 @@ class TestDetectCount:
         out = detect_count(np.full(trials, n, dtype=np.int64), PAPER_DET_H, rng)
         hist = np.bincount(out, minlength=15)[:15] / trials
         assert total_variation(hist, chan[:, n]) < 0.01
+
+
+def _reference_chunk(config, index, shots):
+    """Whole-chunk draws and a masked histogram: the Monte Carlo before its
+    draws were made block-wise. Each draw is one call over all ``shots``."""
+    rng = _stream_rng(config.seed, index)
+    mean = config.source.mean_photons
+
+    def thermal():
+        if mean == 0.0:
+            return np.zeros(shots, dtype=np.int64)
+        return rng.geometric(1.0 / (mean + 1.0), size=shots) - 1
+
+    correlated = rng.random(shots) < config.source.correlation
+    shared, own_h, own_v = thermal(), thermal(), thermal()
+    detected = []
+    for n, det in ((np.where(correlated, shared, own_h), config.det_h),
+                   (np.where(correlated, shared, own_v), config.det_v)):
+        fired = rng.binomial(n, det.efficiency) + rng.poisson(det.dark_mean, size=shots)
+        detected.append(fired + rng.binomial(fired, det.crosstalk))
+    m_h, m_v = detected
+    dim = config.n_max + 1
+    in_range = (m_h <= config.n_max) & (m_v <= config.n_max)
+    flat = m_h[in_range] * dim + m_v[in_range]
+    counts = np.bincount(flat, minlength=dim * dim).reshape(dim, dim)
+    return counts, shots - int(in_range.sum())
+
+
+class TestBlockwiseChunk:
+    @pytest.mark.parametrize("shots", [
+        1, _BLOCK_SHOTS - 1, _BLOCK_SHOTS, _BLOCK_SHOTS + 1, 3 * _BLOCK_SHOTS + 5,
+    ])
+    def test_equals_reference_across_block_edges(self, shots):
+        config = SimConfig(SourceParams(PAPER_MEAN, 0.5), PAPER_DET_H, PAPER_DET_V,
+                           shots, 11, 12)
+        counts, overflow = _simulate_chunk(config, 2, shots)
+        ref_counts, ref_overflow = _reference_chunk(config, 2, shots)
+        assert np.array_equal(counts, ref_counts)
+        assert overflow == ref_overflow
+
+    @pytest.mark.parametrize("source, det_h, det_v, n_max", [
+        pytest.param(SourceParams(0.0, 0.5), PAPER_DET_H, PAPER_DET_V, 6, id="vacuum"),
+        pytest.param(SourceParams(30.0, 0.0), DetectorParams.ideal(), DetectorParams.ideal(),
+                     34, id="g0-ideal"),
+        pytest.param(SourceParams(30.0, 1.0), DetectorParams.ideal(), DetectorParams.ideal(),
+                     34, id="g1-ideal"),
+        pytest.param(SourceParams(2.0, 0.3), DetectorParams(1.0, 0.0, 0.1),
+                     DetectorParams(0.6, 0.2, 0.0), 10, id="unit-efficiency-no-darks"),
+        pytest.param(SourceParams(PAPER_MEAN, 0.5), PAPER_DET_H, PAPER_DET_V, 0, id="n_max0"),
+    ])
+    def test_equals_reference_at_edge_parameters(self, source, det_h, det_v, n_max):
+        shots = 2 * _BLOCK_SHOTS + 17
+        config = SimConfig(source, det_h, det_v, shots, 5, n_max)
+        counts, overflow = _simulate_chunk(config, 0, shots)
+        ref_counts, ref_overflow = _reference_chunk(config, 0, shots)
+        assert np.array_equal(counts, ref_counts)
+        assert overflow == ref_overflow
+
+    def test_working_set_of_full_chunk(self):
+        # About 17 bytes per shot: two int64 buffers and one bool mask.
+        # This bound is what makes one worker per available CPU safe.
+        config = SimConfig(SourceParams(PAPER_MEAN, 0.5), PAPER_DET_H, PAPER_DET_V,
+                           _CHUNK_SHOTS, 1, 12)
+        tracemalloc.start()
+        try:
+            _simulate_chunk(config, 0, _CHUNK_SHOTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2 ** 20
 
 
 class TestSimulate:
