@@ -83,6 +83,16 @@ def _convert(kind, value, key: str):
         raise ConfigError(f"config key {key!r}: not a valid {kind.__name__}: {value!r}") from err
 
 
+def _integer(value, key: str) -> int:
+    """An integer config value; a boolean or a number with a fraction is a ConfigError.
+
+    An integral float such as ``1e7`` is accepted.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"config key {key!r}: not a valid int: {value!r}")
+    return _convert(int, value, key)
+
+
 def _source_from_config(config: dict) -> SourceParams:
     src = _block(config, "source")
     try:
@@ -113,11 +123,11 @@ def _fit_config(config: dict) -> FitConfig:
     default = FitConfig()
     try:
         return FitConfig(
-            max_iterations=_convert(
-                int, fit.get("max_iterations", default.max_iterations), "max_iterations"),
+            max_iterations=_integer(
+                fit.get("max_iterations", default.max_iterations), "max_iterations"),
             convergence_tol=_convert(
                 float, fit.get("convergence_tol", default.convergence_tol), "convergence_tol"),
-            n_max=_convert(int, fit.get("n_max", default.n_max), "n_max"),
+            n_max=_integer(fit.get("n_max", default.n_max), "n_max"),
         )
     except ValueError as err:
         raise ConfigError(f"invalid fit configuration: {err}") from err
@@ -150,9 +160,9 @@ def _sim_config(config: dict, args) -> SimConfig:
             source=_source_from_config(config),
             det_h=_detector_from_config(config, "detector_h"),
             det_v=_detector_from_config(config, "detector_v"),
-            shots=_convert(int, shots, "shots"),
-            seed=_convert(int, seed, "seed"),
-            n_max=_convert(int, config.get("n_max", 16), "n_max"),
+            shots=_integer(shots, "shots"),
+            seed=_integer(seed, "seed"),
+            n_max=_integer(config.get("n_max", 16), "n_max"),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -256,7 +266,7 @@ def cmd_fit(args) -> int:
     config = _load_config(args.config)
     fit_cfg = _fit_config(config)
     counts = read_counts(args.counts)
-    seed = _convert(int, args.seed if args.seed is not None else config.get("seed", 0), "seed")
+    seed = _integer(args.seed if args.seed is not None else config.get("seed", 0), "seed")
     fit = fit_counts(counts, fit_cfg, n_bootstrap=args.bootstrap, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.json")
@@ -298,11 +308,15 @@ def cmd_sweep(args) -> int:
     fit_cfg = _fit_config(config)
     base = _sim_config(config, args)
     check_n_bootstrap(args.bootstrap)
-    rows = []
-    for index, g in enumerate(g_values):
-        sim = dataclasses.replace(
+    # Every g is checked before the first simulation.
+    sims = [
+        dataclasses.replace(
             base, source=dataclasses.replace(base.source, correlation=g), seed=base.seed + index
         )
+        for index, g in enumerate(g_values)
+    ]
+    rows = []
+    for sim in sims:
         counts = simulate(sim)
         dist = normalize(counts)
         gamma = heralded_efficiency(sim.source, sim.det_h, sim.det_v)
@@ -310,7 +324,7 @@ def cmd_sweep(args) -> int:
         distance = product_distance(singular_spectrum(dist))
         fit = fit_counts(counts, fit_cfg, n_bootstrap=args.bootstrap, seed=sim.seed)
         rows.append(
-            (g, gamma, mean_ratio, distance, fit.source.correlation,
+            (sim.source.correlation, gamma, mean_ratio, distance, fit.source.correlation,
              fit.g_error, fit.distance_error)
         )
     os.makedirs(args.out, exist_ok=True)

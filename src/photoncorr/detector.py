@@ -80,6 +80,20 @@ def _log_binom_table(dim: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=32)
+def _loss_exponents(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents of ``eta`` and ``1-eta`` in the loss kernel, as floats.
+
+    ``m`` is a ``(dim, 1)`` column and ``k - m`` a ``(dim, dim)`` matrix
+    indexed ``[m, k]``; both are read-only and built once per dimension.
+    """
+    m = np.arange(dim, dtype=float)[:, None]
+    k_minus_m = np.arange(dim, dtype=float)[None, :] - m
+    m.setflags(write=False)
+    k_minus_m.setflags(write=False)
+    return m, k_minus_m
+
+
 def loss_matrix(efficiency: float, n: int) -> np.ndarray:
     """Binomial-thinning loss channel on photon numbers ``0 .. n``.
 
@@ -91,12 +105,11 @@ def loss_matrix(efficiency: float, n: int) -> np.ndarray:
         raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
     if efficiency == 1.0:
         return np.eye(n + 1)
-    m = np.arange(n + 1)[:, None]
-    k = np.arange(n + 1)[None, :]
+    m, k_minus_m = _loss_exponents(n + 1)
     # -inf in the table (m > k) gives exactly zero.
-    return np.exp(
-        _log_binom_table(n + 1) + m * math.log(efficiency) + (k - m) * math.log1p(-efficiency)
-    )
+    out = _log_binom_table(n + 1) + m * math.log(efficiency)
+    out += k_minus_m * math.log1p(-efficiency)
+    return np.exp(out, out=out)
 
 
 def _poisson_pmf(mean: float, k_max: int) -> np.ndarray:

@@ -125,6 +125,16 @@ def _thermal_tail(mean: float, n_max: int) -> float:
     return math.exp((n_max + 1) * (math.log(mean) - math.log1p(mean)))
 
 
+def _thermal_probs(mean: float, n_max: int) -> np.ndarray:
+    """Thermal probabilities at ``0 .. n_max``, computed in logs; arguments unchecked."""
+    if mean == 0.0:
+        probs = np.zeros(n_max + 1)
+        probs[0] = 1.0
+        return probs
+    log_q = math.log(mean) - math.log1p(mean)
+    return np.exp(np.arange(n_max + 1) * log_q - math.log1p(mean))
+
+
 def thermal_pmf(mean: float, n_max: int, tail_tol: float | None = None) -> Marginal:
     """Thermal (geometric) photon-number distribution truncated at ``n_max``.
 
@@ -145,17 +155,10 @@ def thermal_pmf(mean: float, n_max: int, tail_tol: float | None = None) -> Margi
         raise ValueError(f"mean must be >= 0, got {mean}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    n = np.arange(n_max + 1)
-    if mean == 0.0:
-        probs = np.zeros(n_max + 1)
-        probs[0] = 1.0
-    else:
-        log_q = math.log(mean) - math.log1p(mean)
-        probs = np.exp(n * log_q - math.log1p(mean))
     tail = _thermal_tail(mean, n_max)
     if tail_tol is not None and tail > tail_tol:
         raise ValueError(f"truncation tail {tail:.3e} exceeds tolerance {tail_tol:.3e}")
-    return Marginal(n_max=n_max, probs=probs, tail_mass=tail)
+    return Marginal(n_max=n_max, probs=_thermal_probs(mean, n_max), tail_mass=tail)
 
 
 def pdc_joint(mean: float, n_max: int) -> JointDistribution:

@@ -234,6 +234,21 @@ class TestChannelProperties:
         np.testing.assert_allclose(chan.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
 
     @_examples
+    @given(
+        eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        n=_dims,
+    )
+    def test_loss_matrix_bitwise_closed_form(self, eta, n):
+        # The kernel is the closed form over the log-binomial table, summed
+        # in this order, to the last bit.
+        m = np.arange(n + 1)[:, None]
+        k = np.arange(n + 1)[None, :]
+        expected = np.exp(
+            _log_binom_table(n + 1) + m * math.log(eta) + (k - m) * math.log1p(-eta)
+        )
+        assert np.array_equal(loss_matrix(eta, n), expected)
+
+    @_examples
     @given(dark=_darks, n_in=_dims, n_out=_dims)
     def test_dark_accounts_for_all_mass(self, dark, n_in, n_out):
         _assert_drops_rows(lambda top: dark_matrix(dark, n_in, top), n_in, n_out, dark)

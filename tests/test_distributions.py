@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photoncorr import (
     JointDistribution,
@@ -55,6 +58,21 @@ class TestThermal:
     def test_tail_tolerance_enforced(self):
         with pytest.raises(ValueError):
             thermal_pmf(4.1, 5, tail_tol=1e-3)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        mean=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0)),
+        n_max=st.integers(min_value=0, max_value=60),
+    )
+    def test_probs_bitwise_closed_form(self, mean, n_max):
+        # P(n) = exp(n log(mean/(mean+1)) - log(1+mean)), to the last bit.
+        if mean == 0.0:
+            expected = np.zeros(n_max + 1)
+            expected[0] = 1.0
+        else:
+            log_q = math.log(mean) - math.log1p(mean)
+            expected = np.exp(np.arange(n_max + 1) * log_q - math.log1p(mean))
+        assert np.array_equal(thermal_pmf(mean, n_max).probs, expected)
 
     @pytest.mark.parametrize("mean", [0.0, 0.3, 1.0, 4.1])
     @pytest.mark.parametrize("n_max", [3, 12, 40])

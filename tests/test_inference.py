@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from photoncorr import (
     bootstrap,
     fit_stage1,
     fit_stage2,
+    loss_matrix,
     mixture_joint,
     normalize,
     pdc_joint,
@@ -336,6 +339,68 @@ class TestBootstrap:
         counts = self.make_counts()
         config = FitConfig(n_max=40)
         assert fit_counts(counts, config).stage1 == fit_stage1(counts, config)
+
+
+class TestStage2Memo:
+    """The stage-2 model terms are memoised per (stage 1, mean)."""
+
+    def make_counts(self, seed):
+        return simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, seed, 12)
+
+    @staticmethod
+    def clear_memo():
+        inference._stage2_terms.cache_clear()
+        inference._after_loss_pair.cache_clear()
+
+    def test_memo_cannot_change_a_result(self):
+        counts, other = self.make_counts(17), self.make_counts(18)
+        config = FitConfig(n_max=40)
+        self.clear_memo()
+        cold = fit_counts(counts, config, n_bootstrap=20, seed=2)
+        hits = inference._stage2_terms.cache_info().hits
+        warm = fit_counts(counts, config, n_bootstrap=20, seed=2)
+        assert inference._stage2_terms.cache_info().hits > hits
+        # A fit with a different stage 1 in between.
+        assert fit_counts(other, config).stage1 != cold.stage1
+        after_other = fit_counts(counts, config, n_bootstrap=20, seed=2)
+        for result in (warm, after_other):
+            for field in dataclasses.fields(FitResult):
+                assert getattr(result, field.name) == getattr(cold, field.name), field.name
+
+    def test_cached_terms_refuse_writes(self):
+        stage1 = Stage1Result(0.05, 0.04, 0.11, 0.14, 0.12, 0.11, 0.0)
+        terms = inference._stage2_terms(stage1, 40, 12, 1.0)
+        assert inference._stage2_terms(stage1, 40, 12, 1.0) is terms
+        after_loss = inference._after_loss_pair(stage1, 40, 12)
+        for array in (*terms, *after_loss):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_resamples_share_builds(self, monkeypatch):
+        # Every resample evaluates the same 12-point grid of log-means, so
+        # at least those are built once for all 20 resamples. Each build
+        # makes two loss matrices.
+        counts = self.make_counts(17)
+        config = FitConfig(n_max=40)
+        stage1 = fit_stage1(counts, config)
+        builds, evaluations = [], []
+
+        def counted_loss(*args):
+            builds.append(args)
+            return loss_matrix(*args)
+
+        def traced_stage2(counts, stage1, config):
+            trace = []
+            result = fit_stage2(counts, stage1, config, trace=trace)
+            evaluations.append(len(trace))
+            return result
+
+        monkeypatch.setattr(inference, "loss_matrix", counted_loss)
+        monkeypatch.setattr(inference, "fit_stage2", traced_stage2)
+        self.clear_memo()
+        bootstrap(counts, 20, 3, config, stage1)
+        assert len(evaluations) == 20
+        assert len(builds) <= 2 * (sum(evaluations) - 12 * 19)
 
 
 class TestModeSymmetry:

@@ -276,12 +276,22 @@ class TestConfigErrors:
         pytest.param("fit", {"fit": [1]}, id="fit-list"),
         pytest.param("fit", {"fit": {"max_iterations": float("inf")}}, id="fit-iterations-inf"),
         pytest.param("fit", {"seed": [5]}, id="fit-seed-list"),
+        pytest.param("fit", {"seed": 7.5}, id="fit-seed-fraction"),
+        pytest.param("fit", {"fit": {"max_iterations": 10.5}}, id="fit-iterations-fraction"),
+        pytest.param("fit", {"fit": {"max_iterations": True}}, id="fit-iterations-bool"),
+        pytest.param("fit", {"fit": {"n_max": 30.5}}, id="fit-n_max-fraction"),
         pytest.param("simulate", {"source": {"mean_photons": None}}, id="mean-null"),
         pytest.param("simulate", {"source": None}, id="source-null"),
         pytest.param("simulate", {"detector_h": {"efficiency": [0.5]}}, id="efficiency-list"),
         pytest.param("simulate", {"shots": [1]}, id="shots-list"),
         pytest.param("simulate", {"seed": [13]}, id="seed-list"),
         pytest.param("simulate", {"n_max": None}, id="n_max-null"),
+        pytest.param("simulate", {"shots": 1000.9}, id="shots-fraction"),
+        pytest.param("simulate", {"shots": True}, id="shots-bool"),
+        pytest.param("simulate", {"seed": 7.5}, id="seed-fraction"),
+        pytest.param("simulate", {"seed": False}, id="seed-bool"),
+        pytest.param("simulate", {"n_max": 8.9}, id="n_max-fraction"),
+        pytest.param("sweep", {"shots": 1000.9, "g_list": [0.5]}, id="sweep-shots-fraction"),
         pytest.param("sweep", {"g_list": None}, id="g_list-null"),
         pytest.param("sweep", {"g_list": [None]}, id="g_list-item-null"),
     ])
@@ -296,6 +306,23 @@ class TestConfigErrors:
             "sweep": ["sweep", "--config", config],
         }[command]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+
+    def test_integral_float_accepted(self, tmp_path):
+        config = write_config(tmp_path / "config.json", shots=2e4, seed=13.0, n_max=10.0)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        assert read_counts(str(out / "counts.csv")).shots == 20_000
+
+    def test_sweep_checks_every_g_first(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path / "config.json")
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("an invalid g must be rejected before any simulation")
+
+        monkeypatch.setattr(photoncorr.cli, "simulate", must_not_run)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--g-list", "0.5,1.5", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     def test_negative_bootstrap_exit_code(self, tmp_path, monkeypatch, command):
