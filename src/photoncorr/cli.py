@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 
@@ -42,14 +43,7 @@ from .io import (
     write_distribution,
     write_json,
 )
-from .measures import (
-    correlation_report,
-    heralded_efficiency,
-    mean_interior_ratio,
-    product_distance,
-    ratio_matrix,
-    singular_spectrum,
-)
+from .measures import correlation_report, heralded_efficiency
 from .montecarlo import SimConfig, normalize, simulate
 
 EXIT_OK = 0
@@ -62,75 +56,42 @@ class ConfigError(Exception):
     """Malformed or incomplete configuration."""
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"missing config key {key!r}")
-    return config[key]
+def _number(kind, value, key: str):
+    """``kind(value)`` for a numeric config value; any failure is a ConfigError.
 
-
-def _block(config: dict, key: str) -> dict:
-    block = _require(config, key)
-    if not isinstance(block, dict):
-        raise ConfigError(f"config key {key!r} must be an object, got {block!r}")
-    return block
-
-
-def _convert(kind, value, key: str):
-    """``kind(value)`` for a config value, with any failure a ConfigError."""
+    A boolean is never a number, and an ``int`` key takes only whole
+    numbers: an integral float such as ``1e7`` is accepted.
+    """
     try:
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"config key {key!r}: not a valid {kind.__name__}: {value!r}") from err
 
 
-def _integer(value, key: str) -> int:
-    """An integer config value; a boolean or a number with a fraction is a ConfigError.
+def _params(cls, block, what: str):
+    """``cls`` built from the config block keys named by its fields.
 
-    An integral float such as ``1e7`` is accepted.
+    A missing key takes the field's default, and is a ConfigError if the
+    field has none. Unknown keys are ignored: configs written for earlier
+    versions carry a "weighting" key in their "fit" block.
     """
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"config key {key!r}: not a valid int: {value!r}")
-    return _convert(int, value, key)
-
-
-def _source_from_config(config: dict) -> SourceParams:
-    src = _block(config, "source")
+    if not isinstance(block, dict):
+        raise ConfigError(f"config key {what!r} must be an object, got {block!r}")
+    kinds = typing.get_type_hints(cls)
+    values = {}
+    for field in dataclasses.fields(cls):
+        if field.name in block:
+            values[field.name] = _number(kinds[field.name], block[field.name], field.name)
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"missing config key {field.name!r} in {what!r}")
     try:
-        return SourceParams(
-            mean_photons=_convert(float, _require(src, "mean_photons"), "mean_photons"),
-            correlation=_convert(float, _require(src, "correlation"), "correlation"),
-        )
+        return cls(**values)
     except ValueError as err:
-        raise ConfigError(f"invalid source parameters: {err}") from err
-
-
-def _detector_from_config(config: dict, key: str) -> DetectorParams:
-    det = _block(config, key)
-    try:
-        return DetectorParams(
-            efficiency=_convert(float, _require(det, "efficiency"), "efficiency"),
-            dark_mean=_convert(float, _require(det, "dark_mean"), "dark_mean"),
-            crosstalk=_convert(float, _require(det, "crosstalk"), "crosstalk"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid {key} parameters: {err}") from err
-
-
-def _fit_config(config: dict) -> FitConfig:
-    # Unknown keys are ignored: configs written for earlier versions carry
-    # a "weighting" key.
-    fit = _block(config, "fit") if "fit" in config else {}
-    default = FitConfig()
-    try:
-        return FitConfig(
-            max_iterations=_integer(
-                fit.get("max_iterations", default.max_iterations), "max_iterations"),
-            convergence_tol=_convert(
-                float, fit.get("convergence_tol", default.convergence_tol), "convergence_tol"),
-            n_max=_integer(fit.get("n_max", default.n_max), "n_max"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid fit configuration: {err}") from err
+        raise ConfigError(f"invalid {what} parameters: {err}") from err
 
 
 def _load_config(path: str | None) -> dict:
@@ -139,8 +100,6 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as handle:
             config = json.load(handle)
-    except OSError:
-        raise
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(config, dict):
@@ -155,17 +114,14 @@ def _sim_config(config: dict, args) -> SimConfig:
         raise ConfigError("shots must be given in the config or with --shots")
     if seed is None:
         raise ConfigError("seed must be given in the config or with --seed")
-    try:
-        return SimConfig(
-            source=_source_from_config(config),
-            det_h=_detector_from_config(config, "detector_h"),
-            det_v=_detector_from_config(config, "detector_v"),
-            shots=_integer(shots, "shots"),
-            seed=_integer(seed, "seed"),
-            n_max=_integer(config.get("n_max", 16), "n_max"),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return SimConfig(
+        source=_params(SourceParams, config.get("source"), "source"),
+        det_h=_params(DetectorParams, config.get("detector_h"), "detector_h"),
+        det_v=_params(DetectorParams, config.get("detector_v"), "detector_v"),
+        shots=_number(int, shots, "shots"),
+        seed=_number(int, seed, "seed"),
+        n_max=_number(int, config.get("n_max", 16), "n_max"),
+    )
 
 
 def _write_manifest(out_dir: str, command: str, resolved: dict, seed,
@@ -230,19 +186,12 @@ def cmd_simulate(args) -> int:
 def cmd_measure(args) -> int:
     started = time.time()
     counts = read_counts(args.counts)
-    dist = normalize(counts)
-    report = correlation_report(dist)
-    spectrum = singular_spectrum(dist)
+    report = correlation_report(normalize(counts))
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
     write_json(
         {
-            "mean_interior_ratio": report.mean_interior_ratio,
-            "product_distance": report.product_distance,
-            "coincidence_ratio": report.coincidence_ratio,
-            "lee_nonclassical": report.lee_nonclassical,
-            "lee_witness": report.lee_witness,
-            "singular_values": [float(s) for s in spectrum.values],
+            **dataclasses.asdict(report),
             "n_max": counts.n_max,
             "shots": counts.shots,
             "manifest": "measure_manifest.json",
@@ -264,9 +213,9 @@ def cmd_fit(args) -> int:
     if args.reconstruct is not None and args.reconstruct < 0:
         raise ConfigError(f"--reconstruct must be >= 0, got {args.reconstruct}")
     config = _load_config(args.config)
-    fit_cfg = _fit_config(config)
+    fit_cfg = _params(FitConfig, config.get("fit", {}), "fit")
     counts = read_counts(args.counts)
-    seed = _integer(args.seed if args.seed is not None else config.get("seed", 0), "seed")
+    seed = _number(int, args.seed if args.seed is not None else config.get("seed", 0), "seed")
     fit = fit_counts(counts, fit_cfg, n_bootstrap=args.bootstrap, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     fit_path = os.path.join(args.out, "fit.json")
@@ -302,10 +251,10 @@ def cmd_sweep(args) -> int:
     elif "g_list" in config:
         if not isinstance(config["g_list"], list):
             raise ConfigError(f"config key 'g_list' must be a list, got {config['g_list']!r}")
-        g_values = [_convert(float, v, "g_list") for v in config["g_list"]]
+        g_values = [_number(float, v, "g_list") for v in config["g_list"]]
     else:
         raise ConfigError("g list must be given in the config or with --g-list")
-    fit_cfg = _fit_config(config)
+    fit_cfg = _params(FitConfig, config.get("fit", {}), "fit")
     base = _sim_config(config, args)
     check_n_bootstrap(args.bootstrap)
     # Every g is checked before the first simulation.
@@ -318,14 +267,12 @@ def cmd_sweep(args) -> int:
     rows = []
     for sim in sims:
         counts = simulate(sim)
-        dist = normalize(counts)
         gamma = heralded_efficiency(sim.source, sim.det_h, sim.det_v)
-        mean_ratio = mean_interior_ratio(ratio_matrix(dist))
-        distance = product_distance(singular_spectrum(dist))
+        report = correlation_report(normalize(counts))
         fit = fit_counts(counts, fit_cfg, n_bootstrap=args.bootstrap, seed=sim.seed)
         rows.append(
-            (sim.source.correlation, gamma, mean_ratio, distance, fit.source.correlation,
-             fit.g_error, fit.distance_error)
+            (sim.source.correlation, gamma, report.mean_interior_ratio, report.product_distance,
+             fit.source.correlation, fit.g_error, fit.distance_error)
         )
     os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")

@@ -51,18 +51,29 @@ def write_counts(counts: CountsMatrix, path: str) -> None:
     atomic_write_text(path, counts_to_text(counts))
 
 
-def read_counts(path: str) -> CountsMatrix:
+def _read_matrix(path: str, kind: str, header: re.Pattern, layout: str, parse):
+    """The header match and the ``(n_max+1)²`` parsed values of a matrix file.
+
+    ``header`` must capture ``n_max`` as its first group.
+    """
     with open(path) as handle:
         lines = [line.strip() for line in handle if line.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty counts file")
-    match = _COUNTS_HEADER.match(lines[0])
+        raise ValueError(f"{path}: empty {kind} file")
+    match = header.match(lines[0])
     if match is None:
-        raise ValueError(f"{path}: missing '# n_max=.. shots=.. overflow=..' header")
-    n_max, shots, overflow = (int(x) for x in match.groups())
-    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+        raise ValueError(f"{path}: missing '{layout}' header")
+    n_max = int(match.group(1))
+    rows = [[parse(v) for v in line.split(",")] for line in lines[1:]]
     if len(rows) != n_max + 1 or any(len(r) != n_max + 1 for r in rows):
         raise ValueError(f"{path}: expected {n_max + 1} rows of {n_max + 1} values")
+    return match, rows
+
+
+def read_counts(path: str) -> CountsMatrix:
+    match, rows = _read_matrix(
+        path, "counts", _COUNTS_HEADER, "# n_max=.. shots=.. overflow=..", int)
+    n_max, shots, overflow = (int(x) for x in match.groups())
     return CountsMatrix(
         n_max=n_max, counts=np.array(rows, dtype=np.int64), shots=shots, overflow=overflow
     )
@@ -80,19 +91,11 @@ def write_distribution(dist: JointDistribution, path: str) -> None:
 
 
 def read_distribution(path: str) -> JointDistribution:
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty distribution file")
-    match = _DIST_HEADER.match(lines[0])
-    if match is None:
-        raise ValueError(f"{path}: missing '# n_max=.. tail_mass=..' header")
-    n_max = int(match.group(1))
-    tail = float(match.group(2))
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    if len(rows) != n_max + 1 or any(len(r) != n_max + 1 for r in rows):
-        raise ValueError(f"{path}: expected {n_max + 1} rows of {n_max + 1} values")
-    return JointDistribution(n_max=n_max, probs=np.array(rows), tail_mass=tail)
+    match, rows = _read_matrix(
+        path, "distribution", _DIST_HEADER, "# n_max=.. tail_mass=..", float)
+    return JointDistribution(
+        n_max=int(match.group(1)), probs=np.array(rows), tail_mass=float(match.group(2))
+    )
 
 
 @dataclass(frozen=True)

@@ -63,13 +63,17 @@ class SingularSpectrum:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Summary of the raw-data correlation measures for one joint matrix."""
+    """Summary of the raw-data correlation measures for one joint matrix.
+
+    ``singular_values`` is the normalized singular spectrum, largest first.
+    """
 
     mean_interior_ratio: float
     product_distance: float
     coincidence_ratio: float
     lee_nonclassical: bool
     lee_witness: float
+    singular_values: tuple[float, ...]
 
 
 def ratio_matrix(joint: JointDistribution) -> RatioMatrix:
@@ -169,8 +173,6 @@ def heralded_efficiency(
     experimental ratio. The result equals ``g * efficiency`` of the
     non-heralding detector up to O(probe_mean**2).
     """
-    if herald not in (MODE_H, MODE_V):
-        raise ValueError(f"herald must be 'H' or 'V', got {herald!r}")
     if probe_mean <= 0.0:
         raise ValueError(f"probe_mean must be > 0, got {probe_mean}")
     # Dark counts would contribute accidental coincidences that the
@@ -194,6 +196,8 @@ def coincidence_ratio(joint: JointDistribution, herald: str = MODE_H) -> float:
     Works on probabilities or raw count histograms alike; the overall
     normalization cancels.
     """
+    if herald not in (MODE_H, MODE_V):
+        raise ValueError(f"herald must be 'H' or 'V', got {herald!r}")
     p = joint.probs
     both = float(p[1:, 1:].sum())
     singles = float(p[1:, :].sum()) if herald == MODE_H else float(p[:, 1:].sum())
@@ -205,10 +209,12 @@ def coincidence_ratio(joint: JointDistribution, herald: str = MODE_H) -> float:
 def correlation_report(joint: JointDistribution, herald: str = MODE_H) -> CorrelationReport:
     """Compute every raw-data measure for one joint distribution."""
     nonclassical, witness = lee_criterion(moments(joint))
+    spectrum = singular_spectrum(joint)
     return CorrelationReport(
         mean_interior_ratio=mean_interior_ratio(ratio_matrix(joint)),
-        product_distance=product_distance(singular_spectrum(joint)),
+        product_distance=product_distance(spectrum),
         coincidence_ratio=coincidence_ratio(joint, herald=herald),
         lee_nonclassical=nonclassical,
         lee_witness=witness,
+        singular_values=tuple(float(s) for s in spectrum.values),
     )

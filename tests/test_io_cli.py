@@ -160,6 +160,17 @@ class TestSimulateCommand:
         missing = str(tmp_path / "nope.json")
         assert main(["simulate", "--config", missing, "--out", str(tmp_path)]) == 4
 
+    def test_manifest_config_round_trip(self, tmp_path):
+        # The resolved config in the manifest reruns the same acquisition.
+        config = write_config(tmp_path / "config.json")
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--config", config, "--out", str(first)]) == 0
+        resolved = read_json(str(first / "simulate_manifest.json"))["config"]
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(resolved))
+        assert main(["simulate", "--config", str(replay), "--out", str(second)]) == 0
+        assert (first / "counts.csv").read_bytes() == (second / "counts.csv").read_bytes()
+
 
 class TestMeasureCommand:
     def test_product_counts_report_zero_distance(self, tmp_path):
@@ -175,6 +186,12 @@ class TestMeasureCommand:
         report = read_json(str(out / "report.json"))
         assert report["product_distance"] < 1e-6
         assert report["mean_interior_ratio"] == pytest.approx(1.0, abs=1e-9)
+        assert set(report) == {
+            "mean_interior_ratio", "product_distance", "coincidence_ratio",
+            "lee_nonclassical", "lee_witness", "singular_values", "n_max", "shots", "manifest",
+        }
+        assert len(report["singular_values"]) == 4
+        assert report["singular_values"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_sum_difference_output(self, tmp_path):
         counts = np.zeros((4, 4), dtype=np.int64)
@@ -226,6 +243,19 @@ class TestFitCommand:
         assert set(manifest["config"]["fit"]) == {
             "max_iterations", "convergence_tol", "n_max",
         }
+
+    def test_manifest_fit_block_round_trip(self, tmp_path):
+        # The manifest's resolved fit block reruns the same fit.
+        config, counts_path = self.make_counts_file(tmp_path)
+        first, second = tmp_path / "a", tmp_path / "b"
+        flags = ["--bootstrap", "3", "--seed", "5"]
+        assert main(["fit", counts_path, "--config", config, "--out", str(first)] + flags) == 0
+        resolved = read_json(str(first / "fit_manifest.json"))["config"]["fit"]
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps({"fit": resolved}))
+        assert main(["fit", counts_path, "--config", str(replay), "--out", str(second)]
+                    + flags) == 0
+        assert (first / "fit.json").read_bytes() == (second / "fit.json").read_bytes()
 
     def test_bootstrap_fits_stage1_once(self, tmp_path, monkeypatch):
         config, counts_path = self.make_counts_file(tmp_path)
@@ -280,6 +310,7 @@ class TestConfigErrors:
         pytest.param("fit", {"fit": {"max_iterations": 10.5}}, id="fit-iterations-fraction"),
         pytest.param("fit", {"fit": {"max_iterations": True}}, id="fit-iterations-bool"),
         pytest.param("fit", {"fit": {"n_max": 30.5}}, id="fit-n_max-fraction"),
+        pytest.param("fit", {"fit": {"convergence_tol": True, "n_max": 30}}, id="fit-tol-bool"),
         pytest.param("simulate", {"source": {"mean_photons": None}}, id="mean-null"),
         pytest.param("simulate", {"source": None}, id="source-null"),
         pytest.param("simulate", {"detector_h": {"efficiency": [0.5]}}, id="efficiency-list"),
@@ -291,9 +322,15 @@ class TestConfigErrors:
         pytest.param("simulate", {"seed": 7.5}, id="seed-fraction"),
         pytest.param("simulate", {"seed": False}, id="seed-bool"),
         pytest.param("simulate", {"n_max": 8.9}, id="n_max-fraction"),
+        pytest.param("simulate", {"source": {"mean_photons": True, "correlation": 0.6}},
+                     id="mean-bool"),
+        pytest.param("simulate",
+                     {"detector_h": {"efficiency": 0.4, "dark_mean": False, "crosstalk": 0.06}},
+                     id="dark_mean-bool"),
         pytest.param("sweep", {"shots": 1000.9, "g_list": [0.5]}, id="sweep-shots-fraction"),
         pytest.param("sweep", {"g_list": None}, id="g_list-null"),
         pytest.param("sweep", {"g_list": [None]}, id="g_list-item-null"),
+        pytest.param("sweep", {"g_list": [True]}, id="g_list-item-bool"),
     ])
     def test_malformed_value_exit_code(self, tmp_path, command, overrides):
         config = write_config(tmp_path / "config.json", **overrides)

@@ -251,6 +251,19 @@ class TestCoincidenceRatio:
         )
 
 
+@pytest.mark.parametrize("measure", [
+    pytest.param(lambda herald: coincidence_ratio(forward(0.5), herald=herald), id="ratio"),
+    pytest.param(lambda herald: correlation_report(forward(0.5), herald=herald), id="report"),
+    pytest.param(lambda herald: heralded_efficiency(
+        SourceParams(1.0, 0.5), DetectorParams(0.5, 0.0, 0.0), DetectorParams(0.5, 0.0, 0.0),
+        herald=herald), id="efficiency"),
+])
+@pytest.mark.parametrize("herald", ["h", "X", ""])
+def test_unknown_herald_rejected(measure, herald):
+    with pytest.raises(ValueError, match="herald"):
+        measure(herald)
+
+
 class TestCorrelationReport:
     def test_fields_populated(self):
         report = correlation_report(forward(0.5))
@@ -258,3 +271,11 @@ class TestCorrelationReport:
         assert report.product_distance >= 0.0
         assert np.isfinite(report.mean_interior_ratio)
         assert isinstance(report.lee_nonclassical, bool)
+
+    def test_singular_values_match_spectrum(self):
+        joint = forward(0.5)
+        report = correlation_report(joint)
+        spectrum = singular_spectrum(joint)
+        assert report.singular_values == tuple(spectrum.values)
+        assert all(type(s) is float for s in report.singular_values)
+        assert report.product_distance == product_distance(spectrum)
