@@ -59,11 +59,11 @@ class ConfigError(Exception):
 def _number(kind, value, key: str):
     """``kind(value)`` for a numeric config value; any failure is a ConfigError.
 
-    A boolean is never a number, and an ``int`` key takes only whole
-    numbers: an integral float such as ``1e7`` is accepted.
+    Neither a boolean nor a string is a number, and an ``int`` key takes
+    only whole numbers: an integral float such as ``1e7`` is accepted.
     """
     try:
-        if isinstance(value, bool) or (
+        if isinstance(value, (bool, str)) or (
             kind is int and isinstance(value, float) and not value.is_integer()
         ):
             raise ValueError(value)

@@ -94,22 +94,34 @@ def _loss_exponents(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return m, k_minus_m
 
 
-def loss_matrix(efficiency: float, n: int) -> np.ndarray:
+def loss_matrix(efficiency, n: int, n_out: int | None = None) -> np.ndarray:
     """Binomial-thinning loss channel on photon numbers ``0 .. n``.
 
     ``entry[m, k] = C(k, m) eta^m (1-eta)^(k-m)`` for m <= k, in an
-    ``(n+1, n+1)`` matrix. Loss never raises the count, so no mass leaves
-    the range and every column sums to 1.
+    ``(n_out+1, n+1)`` matrix. Loss never raises the count, so no mass
+    leaves the full range and every column of the ``n_out = n`` default
+    sums to 1; a short ``n_out <= n`` drops bottom rows. A 1-D array of
+    efficiencies gives one matrix per efficiency along a leading axis,
+    each bitwise the matrix of that efficiency alone.
     """
-    if not (0.0 < efficiency <= 1.0):
+    eta = np.asarray(efficiency, dtype=float)
+    if not np.all((eta > 0.0) & (eta <= 1.0)):
         raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    if efficiency == 1.0:
-        return np.eye(n + 1)
+    rows = n + 1 if n_out is None else n_out + 1
+    if not 0 < rows <= n + 1:
+        raise ValueError(f"n_out must be in [0, {n}], got {n_out}")
     m, k_minus_m = _loss_exponents(n + 1)
+    # Scalar logs, as in the closed form (numpy's can differ in the last
+    # bit); at efficiency 1 the matrix is set to the identity below.
+    shape = eta.shape + (1, 1)
+    log_keep = np.reshape([math.log(e) for e in eta.flat], shape)
+    log_lose = np.reshape([math.log1p(-e) if e < 1.0 else 0.0 for e in eta.flat], shape)
     # -inf in the table (m > k) gives exactly zero.
-    out = _log_binom_table(n + 1) + m * math.log(efficiency)
-    out += k_minus_m * math.log1p(-efficiency)
-    return np.exp(out, out=out)
+    out = _log_binom_table(n + 1)[:rows] + m[:rows] * log_keep
+    out += k_minus_m[:rows] * log_lose
+    np.exp(out, out=out)
+    out[eta == 1.0] = np.eye(rows, n + 1)
+    return out
 
 
 def _poisson_pmf(mean: float, k_max: int) -> np.ndarray:
@@ -166,7 +178,9 @@ def after_loss_channel(
     every fired cell, dark ones included. The intermediate stage is
     truncated at ``n_out``, which is exact for all retained rows because
     dark counts and crosstalk never reduce the count: a short ``n_out``
-    gives the top rows of a longer one. It does not depend on the
+    gives the top rows of a longer one. For the same reason its columns
+    beyond ``n_out`` are exactly zero, so only the top ``n_out+1`` rows of
+    the loss matrix before it are ever read. It does not depend on the
     efficiency, so a fit that varies only the efficiency builds it once.
     """
     if n_out is None:

@@ -16,25 +16,28 @@ darks, and crosstalk from stage 1 fixed (the per-mode efficiency is
 ``detected_mean / mean_photons``). For a fixed mean the model
 ``B + g (A - B)`` is linear in ``g`` (``A`` the detected correlated
 component, ``B`` the detected product), so ``g`` is profiled out in
-closed form and only the mean is searched (variable projection).
-``A`` and ``B`` depend on stage 1 and the mean but not on the histogram,
-so a bounded memo keeps them per ``(stage1, mean)``: the resamples of a
-bootstrap, which all hold stage 1 fixed, share the 12-point grid of
-means and the first point of each refinement, and build them once.
+closed form and only the mean is searched (variable projection): a
+12-point log-spaced grid, then a golden-section search around every
+local minimum on it. ``A`` and ``B`` depend on stage 1 and the mean but
+not on the histogram, so many histograms with one stage 1 are fitted in
+one batch: each step of the search builds the terms at the points of
+all of them in one vectorised pass. The bootstrap fits all its resamples
+that way, and a single fit is the batch of one. Nothing is memoised
+between fits.
 
 Bootstrap uncertainties assume Poissonian counting noise: every cell is
 replaced by an independent Poisson draw centered on the observed count
 and the stage-2 fit and product distance are recomputed per resample.
 
-``scipy.optimize`` is imported inside the two fit functions, so importing
-the package (and running ``simulate`` or ``measure``) loads only numpy.
+``scipy.optimize`` is imported inside ``fit_stage1``, so importing the
+package (and running ``simulate`` or ``measure``) loads only numpy, and
+stage 2 never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,11 +63,11 @@ class FitConfig:
     before the detector channel (the histogram's own range sets the
     output truncation). ``max_iterations`` caps each solver run: the
     stage-1 least-squares steps and the evaluations of each stage-2 mean
-    search. ``convergence_tol`` is the relative tolerance at which the
-    solvers stop: stage 1 when a step lowers the objective, or moves the
-    parameters, by less than this fraction; stage 2 when its bracket on
-    ``log(mean)`` is narrower than the square root of it (the objective
-    is quadratic near a minimum).
+    search, the grid before it not counted. ``convergence_tol`` is the
+    relative tolerance at which the solvers stop: stage 1 when a step
+    lowers the objective, or moves the parameters, by less than this
+    fraction; stage 2 when its bracket on ``log(mean)`` is narrower than
+    the square root of it (the objective is quadratic near a minimum).
     """
 
     max_iterations: int = 4000
@@ -74,8 +77,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (self.convergence_tol > 0.0):
-            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
+        if not (0.0 < self.convergence_tol < math.inf):
+            raise ValueError(f"convergence_tol must be finite and > 0, got {self.convergence_tol}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
@@ -227,45 +230,126 @@ def _mean_of(marginal: np.ndarray) -> float:
     return float(np.arange(marginal.size) @ marginal / total)
 
 
-@lru_cache(maxsize=4)
-def _after_loss_pair(
-    stage1: Stage1Result, n_model: int, n_out: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both modes' dark-and-crosstalk channels at the stage-1 values; read-only."""
-    pair = (
-        after_loss_channel(stage1.dark_h, stage1.xtalk_h, n_model, n_out),
-        after_loss_channel(stage1.dark_v, stage1.xtalk_v, n_model, n_out),
-    )
-    for chan in pair:
-        chan.setflags(write=False)
-    return pair
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the share of the bracket a golden step keeps
 
 
-# A bootstrap holds stage 1 fixed, and every resample evaluates the same
-# grid (set by the stage-1 detected means) and the same first point of
-# each Brent bracket. A resample makes 30-45 evaluations, so the memo
-# holds the terms of the last several resamples: the shared ones stay
-# and the rest pass through. At 13 x 13 output cells that is 0.7 MB.
-@lru_cache(maxsize=256)
 def _stage2_terms(
-    stage1: Stage1Result, n_model: int, n_out: int, log_mean: float
+    stage1: Stage1Result, log_means: np.ndarray, n_model: int, after_loss
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The stage-2 model at one mean is ``product + g * slope``; both read-only.
+    """The stage-2 model at each mean is ``product + g * slope``, stacked.
 
     ``product`` is the detected product of the thermal marginals and
     ``slope`` the correlated (diagonal) source term, detected, minus it.
     Neither depends on the histogram.
     """
-    mean = math.exp(log_mean)
-    after_loss_h, after_loss_v = _after_loss_pair(stage1, n_model, n_out)
-    ch = after_loss_h @ loss_matrix(min(stage1.detected_mean_h / mean, 1.0), n_model)
-    cv = after_loss_v @ loss_matrix(min(stage1.detected_mean_v / mean, 1.0), n_model)
-    t = _thermal_probs(mean, n_model)
-    product = np.outer(ch @ t, cv @ t)
-    slope = (ch * t) @ cv.T - product
-    product.setflags(write=False)
-    slope.setflags(write=False)
-    return product, slope
+    means = [math.exp(u) for u in log_means]
+    # The after-loss channels have zero columns past the output range, so
+    # only that many rows of each loss matrix are built.
+    ch, cv = (
+        chan @ loss_matrix([min(detected / m, 1.0) for m in means], n_model, chan.shape[1] - 1)
+        for chan, detected in zip(after_loss, (stage1.detected_mean_h, stage1.detected_mean_v))
+    )
+    t = _thermal_probs(np.array(means), n_model)[:, :, None]
+    product = (ch @ t) * (cv @ t).transpose(0, 2, 1)
+    ch *= t.transpose(0, 2, 1)
+    return product, ch @ cv.transpose(0, 2, 1) - product
+
+
+def _fit_stage2_batch(
+    histograms: list[CountsMatrix],
+    stage1: Stage1Result,
+    config: FitConfig,
+    trace: list | None = None,
+) -> list[FitResult]:
+    """``fit_stage2`` of every histogram, all with the same ``stage1``.
+
+    Each pass of the search builds the model terms at one point of every
+    running search at once. A histogram's points, and the arithmetic on
+    them, do not depend on the others, so each result is bitwise its fit
+    alone. With one histogram, ``trace`` gets its best objective after
+    every evaluation.
+    """
+    emp = np.stack([h.counts / h.shots for h in histograms])
+    w = np.stack([_weights(h) for h in histograms])
+    n_out, n_model = histograms[0].n_max, config.n_max
+    after_loss = [
+        after_loss_channel(dark, xtalk, min(n_out, n_model), n_out)
+        for dark, xtalk in ((stage1.dark_h, stage1.xtalk_h), (stage1.dark_v, stage1.xtalk_v))
+    ]
+    best = np.full((3, len(histograms)), math.inf)  # objective, g, log(mean)
+
+    def evaluate(rows, log_means, product, slope):
+        """The objective at each point, minimized over g in closed form."""
+        e, wr = emp[rows], w[rows]
+        w_slope = wr * slope
+        curvature = (w_slope * slope).sum(axis=(-2, -1))
+        g = np.divide(
+            (w_slope * (e - product)).sum(axis=(-2, -1)), curvature,
+            out=np.zeros_like(curvature), where=curvature > 0.0,
+        ).clip(0.0, 1.0)
+        diff = product + g[:, None, None] * slope - e
+        values = (wr * diff * diff).sum(axis=(-2, -1))
+        if trace is not None:
+            trace.extend(np.minimum.accumulate(np.append(best[0, 0], values))[1:].tolist())
+        # Keep the first best point of each histogram, in evaluation order.
+        for k in np.flatnonzero(values < best[0, rows]):
+            if values[k] < best[0, rows[k]]:
+                best[:, rows[k]] = values[k], g[k], log_means[k]
+        return values
+
+    evaluations = 0
+
+    def probe(rows, log_means):
+        # One pass: one new point of every search still running.
+        nonlocal evaluations
+        if evaluations == config.max_iterations:
+            raise FitConvergenceError(
+                f"stage-2 mean search did not converge within {config.max_iterations} evaluations",
+                best=np.array([best[1, rows[0]], math.exp(best[2, rows[0]])]),
+                objective=float(best[0, rows[0]]),
+            )
+        evaluations += 1
+        return evaluate(rows, log_means, *_stage2_terms(stage1, log_means, n_model, after_loss))
+
+    mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
+    mean_hi = max(n_model / 3.0, mean_lo * 2.0)
+    grid = np.linspace(math.log(mean_lo), math.log(mean_hi), _MEAN_GRID_POINTS)
+    every = np.arange(len(histograms))
+    values = np.stack([
+        evaluate(every, np.full(every.size, u), product, slope)
+        for u, product, slope in zip(grid, *_stage2_terms(stage1, grid, n_model, after_loss))
+    ], axis=1)
+    # One search in the bracket around every grid point that is a local
+    # minimum, all run in lockstep.
+    padded = np.pad(values, ((0, 0), (1, 1)), mode="edge")
+    rows, k = np.nonzero(values <= np.minimum(padded[:, :-2], padded[:, 2:]))
+    a, b = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, _MEAN_GRID_POINTS - 1)]
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = probe(rows, c), probe(rows, d)
+    while True:
+        # The minimum lies in [a, d] or in [c, b]; the interior point left
+        # inside is kept and one new point is probed.
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - _GOLDEN * (b - a), d), np.where(left, c, a + _GOLDEN * (b - a))
+        wide = b - a >= math.sqrt(config.convergence_tol)
+        if not wide.any():
+            break
+        rows, left, a, b, c, d, fc, fd = (x[wide] for x in (rows, left, a, b, c, d, fc, fd))
+        f = probe(rows, np.where(left, c, d))
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    return [_stage2_result(stage1, float(v), float(g), math.exp(u)) for v, g, u in best.T]
+
+
+def _stage2_result(stage1: Stage1Result, fval: float, g: float, mean: float) -> FitResult:
+    det_h, det_v = (
+        DetectorParams(efficiency=min(detected / mean, 1.0), dark_mean=dark, crosstalk=xtalk)
+        for detected, dark, xtalk in (
+            (stage1.detected_mean_h, stage1.dark_h, stage1.xtalk_h),
+            (stage1.detected_mean_v, stage1.dark_v, stage1.xtalk_v),
+        )
+    )
+    return FitResult(SourceParams(mean_photons=mean, correlation=g), det_h, det_v, fval, stage1)
 
 
 def fit_stage2(
@@ -281,75 +365,13 @@ def fit_stage2(
     source mean is bounded below by the larger detected mean. For each
     mean, ``g`` takes its weighted least-squares value clipped to [0, 1].
     The mean is searched in ``log(mean)``: the profile is evaluated on a
-    log-spaced grid, and a bounded Brent search runs in the bracket
-    around every grid point that is a local minimum; the best point seen
-    is kept. Raises FitConvergenceError if a search exhausts its budget.
+    log-spaced grid, and a golden-section search runs in the bracket
+    around every grid point that is a local minimum, until the bracket
+    is narrower than ``sqrt(convergence_tol)``; the best point seen is
+    kept. Nothing is cached between fits. Raises FitConvergenceError if a
+    search needs more than ``max_iterations`` evaluations.
     """
-    from scipy.optimize import minimize_scalar
-
-    config = config or FitConfig()
-    emp = counts.counts / counts.shots
-    w = _weights(counts)
-    n_out = counts.n_max
-    n_model = config.n_max
-    best = (math.inf, 0.0, 0.0)  # (objective, g, mean)
-
-    def profile(log_mean: float) -> float:
-        """Objective at this mean, minimized over g in closed form."""
-        nonlocal best
-        product, slope = _stage2_terms(stage1, n_model, n_out, log_mean)
-        w_slope = w * slope
-        curvature = float((w_slope * slope).sum())
-        g = float((w_slope * (emp - product)).sum()) / curvature if curvature > 0.0 else 0.0
-        g = min(max(g, 0.0), 1.0)
-        diff = product + g * slope - emp
-        val = float((w * diff * diff).sum())
-        if val < best[0]:
-            best = (val, g, math.exp(log_mean))
-        if trace is not None:
-            trace.append(best[0])
-        return val
-
-    mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
-    mean_hi = max(n_model / 3.0, mean_lo * 2.0)
-    grid = np.linspace(math.log(mean_lo), math.log(mean_hi), _MEAN_GRID_POINTS)
-    values = [profile(u) for u in grid]
-    last = len(grid) - 1
-    for k in range(len(grid)):
-        lo, hi = max(k - 1, 0), min(k + 1, last)
-        if values[k] <= min(values[lo], values[hi]):
-            search = minimize_scalar(
-                profile,
-                bounds=(grid[lo], grid[hi]),
-                method="bounded",
-                options={
-                    "xatol": math.sqrt(config.convergence_tol),
-                    "maxiter": config.max_iterations,
-                },
-            )
-            if not search.success:
-                raise FitConvergenceError(
-                    f"stage-2 mean search did not converge within "
-                    f"{config.max_iterations} evaluations",
-                    best=np.array(best[1:]),
-                    objective=best[0],
-                )
-    fval, g, mean = best
-    return FitResult(
-        source=SourceParams(mean_photons=mean, correlation=g),
-        det_h=DetectorParams(
-            efficiency=min(stage1.detected_mean_h / mean, 1.0),
-            dark_mean=stage1.dark_h,
-            crosstalk=stage1.xtalk_h,
-        ),
-        det_v=DetectorParams(
-            efficiency=min(stage1.detected_mean_v / mean, 1.0),
-            dark_mean=stage1.dark_v,
-            crosstalk=stage1.xtalk_v,
-        ),
-        residual=fval,
-        stage1=stage1,
-    )
+    return _fit_stage2_batch([counts], stage1, config or FitConfig(), trace)[0]
 
 
 def reconstruct(fit: FitResult, n_max: int) -> JointDistribution:
@@ -389,7 +411,8 @@ def bootstrap(
 
     Each resample draws an independent Poisson histogram around the
     observed counts, then recomputes the product distance and the stage-2
-    fit. Stage 1 is held at ``stage1``, the caller's fit of the original
+    fit; the resamples are drawn first and fitted in one batched search.
+    Stage 1 is held at ``stage1``, the caller's fit of the original
     counts; without one it is fit here, once. Resamples use
     independent RNG streams derived from ``(seed, resample_index)``, so
     the result does not depend on execution order. A resample whose fit
@@ -400,13 +423,10 @@ def bootstrap(
     config = config or FitConfig()
     if stage1 is None:
         stage1 = fit_stage1(counts, config)
-    g_samples = np.empty(n_resamples)
-    d_samples = np.empty(n_resamples)
-    for r in range(n_resamples):
-        resampled = poisson_resample(counts, _stream_rng(seed, r))
-        d_samples[r] = product_distance(singular_spectrum(normalize(resampled)))
-        g_samples[r] = fit_stage2(resampled, stage1, config).source.correlation
-    return float(g_samples.std(ddof=1)), float(d_samples.std(ddof=1))
+    resamples = [poisson_resample(counts, _stream_rng(seed, r)) for r in range(n_resamples)]
+    d_samples = [product_distance(singular_spectrum(normalize(x))) for x in resamples]
+    g_samples = [fit.source.correlation for fit in _fit_stage2_batch(resamples, stage1, config)]
+    return float(np.std(g_samples, ddof=1)), float(np.std(d_samples, ddof=1))
 
 
 def check_n_bootstrap(n_bootstrap: int) -> None:

@@ -2,8 +2,9 @@
 names it exports, and that every import in it is used.
 
 ``import photoncorr.cli`` pulls in the whole package, so it must load
-numpy only: ``scipy.optimize`` is imported by the fit functions when they
-first run, and nothing uses ``scipy.stats`` or ``scipy.special``.
+numpy only: ``scipy.optimize`` is imported by ``fit_stage1`` when it
+first runs, stage 2 never loads it, and nothing uses ``scipy.stats`` or
+``scipy.special``.
 """
 
 import ast
@@ -58,6 +59,24 @@ def test_fit_stage1_imports_optimizer_on_first_use():
     before, after, detected_mean_h, residual = result
     assert not before and after
     assert 0.0 < detected_mean_h < 5.0 and residual >= 0.0
+
+
+def test_fit_stage2_loads_no_scipy_submodule():
+    result = _run(
+        "import json, sys\n"
+        "from photoncorr import DetectorParams, FitConfig, SimConfig, SourceParams\n"
+        "from photoncorr import Stage1Result, fit_stage2, simulate\n"
+        "det = DetectorParams(efficiency=0.7, dark_mean=0.02, crosstalk=0.05)\n"
+        "counts = simulate(SimConfig(SourceParams(1.0, 0.5), det, det,\n"
+        "                            shots=20000, seed=3, n_max=10))\n"
+        "stage1 = Stage1Result(0.7, 0.7, 0.02, 0.02, 0.05, 0.05, 0.0)\n"
+        "fit = fit_stage2(counts, stage1, FitConfig(n_max=20))\n"
+        f"print(json.dumps([[m for m in {SCIPY_MODULES!r} if m in sys.modules],\n"
+        "                  fit.source.correlation]))\n"
+    )
+    loaded, g = result
+    assert loaded == []
+    assert 0.0 <= g <= 1.0
 
 
 def test_every_exported_name_resolves():

@@ -1,7 +1,10 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import photoncorr.inference as inference
 from photoncorr import (
@@ -341,66 +344,76 @@ class TestBootstrap:
         assert fit_counts(counts, config).stage1 == fit_stage1(counts, config)
 
 
-class TestStage2Memo:
-    """The stage-2 model terms are memoised per (stage 1, mean)."""
+@functools.lru_cache(maxsize=None)
+def _resamples_fitted_alone():
+    """Eight resamples of a reference-detector histogram, each fitted alone.
 
-    def make_counts(self, seed):
-        return simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, seed, 12)
+    At these detectors a profile can have two local minima on the grid, so
+    rows of one batch run different numbers of searches.
+    """
+    counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
+    config = FitConfig(n_max=40)
+    stage1 = fit_stage1(counts, config)
+    resamples = [poisson_resample(counts, _stream_rng(2, r)) for r in range(8)]
+    return resamples, stage1, config, [fit_stage2(x, stage1, config) for x in resamples]
 
-    @staticmethod
-    def clear_memo():
-        inference._stage2_terms.cache_clear()
-        inference._after_loss_pair.cache_clear()
 
-    def test_memo_cannot_change_a_result(self):
-        counts, other = self.make_counts(17), self.make_counts(18)
-        config = FitConfig(n_max=40)
-        self.clear_memo()
-        cold = fit_counts(counts, config, n_bootstrap=20, seed=2)
-        hits = inference._stage2_terms.cache_info().hits
-        warm = fit_counts(counts, config, n_bootstrap=20, seed=2)
-        assert inference._stage2_terms.cache_info().hits > hits
-        # A fit with a different stage 1 in between.
-        assert fit_counts(other, config).stage1 != cold.stage1
-        after_other = fit_counts(counts, config, n_bootstrap=20, seed=2)
-        for result in (warm, after_other):
+class TestStage2Batch:
+    """Stage 2 fits many histograms with one stage 1 in one batched search."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(order=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+    def test_rows_equal_fits_alone(self, order):
+        resamples, stage1, config, alone = _resamples_fitted_alone()
+        batch = inference._fit_stage2_batch([resamples[i] for i in order], stage1, config)
+        assert len(batch) == len(order)
+        for i, fit in zip(order, batch):
             for field in dataclasses.fields(FitResult):
-                assert getattr(result, field.name) == getattr(cold, field.name), field.name
+                assert getattr(fit, field.name) == getattr(alone[i], field.name), field.name
 
-    def test_cached_terms_refuse_writes(self):
-        stage1 = Stage1Result(0.05, 0.04, 0.11, 0.14, 0.12, 0.11, 0.0)
-        terms = inference._stage2_terms(stage1, 40, 12, 1.0)
-        assert inference._stage2_terms(stage1, 40, 12, 1.0) is terms
-        after_loss = inference._after_loss_pair(stage1, 40, 12)
-        for array in (*terms, *after_loss):
-            with pytest.raises(ValueError):
-                array[0, 0] = 1.0
-
-    def test_resamples_share_builds(self, monkeypatch):
-        # Every resample evaluates the same 12-point grid of log-means, so
-        # at least those are built once for all 20 resamples. Each build
-        # makes two loss matrices.
-        counts = self.make_counts(17)
+    def test_loss_builds_do_not_grow_with_resamples(self, monkeypatch):
+        # One pass of the search evaluates one point of every running
+        # search and makes two loss matrices, after one pass over the grid.
+        # The widest bracket spans two grid steps and shrinks by the golden
+        # ratio per evaluation after the first, down to sqrt(tol).
+        counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
         config = FitConfig(n_max=40)
         stage1 = fit_stage1(counts, config)
-        builds, evaluations = [], []
+        mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
+        width = 2.0 * math.log(max(config.n_max / 3.0, 2.0 * mean_lo) / mean_lo) / 11
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        evaluations = 1 + math.ceil(math.log(width / math.sqrt(config.convergence_tol), 1 / golden))
+        builds = []
 
         def counted_loss(*args):
             builds.append(args)
             return loss_matrix(*args)
 
-        def traced_stage2(counts, stage1, config):
-            trace = []
-            result = fit_stage2(counts, stage1, config, trace=trace)
-            evaluations.append(len(trace))
-            return result
-
         monkeypatch.setattr(inference, "loss_matrix", counted_loss)
-        monkeypatch.setattr(inference, "fit_stage2", traced_stage2)
-        self.clear_memo()
-        bootstrap(counts, 20, 3, config, stage1)
-        assert len(evaluations) == 20
-        assert len(builds) <= 2 * (sum(evaluations) - 12 * 19)
+        calls = {}
+        for n_resamples in (20, 40):
+            builds.clear()
+            bootstrap(counts, n_resamples, 3, config, stage1)
+            calls[n_resamples] = len(builds)
+        assert calls[20] == calls[40] <= 2 * (1 + evaluations)
+
+    def test_budget_is_the_search_evaluation_count(self):
+        # At the FIT detectors the profile has one minimum on the grid, so
+        # the trace after the 12 grid points is one search's evaluations.
+        counts = simulate_counts(0.47, FIT_DET_H, FIT_DET_V, 300_000, 9, 30)
+        config = FitConfig(n_max=60)
+        stage1 = fit_stage1(counts, config)
+        trace = []
+        fit = fit_stage2(counts, stage1, config, trace=trace)
+        evaluations = len(trace) - 12
+        exact = dataclasses.replace(config, max_iterations=evaluations)
+        assert fit_stage2(counts, stage1, exact) == fit
+        short = dataclasses.replace(config, max_iterations=evaluations - 1)
+        with pytest.raises(FitConvergenceError) as excinfo:
+            fit_stage2(counts, stage1, short)
+        g, mean = excinfo.value.best
+        assert 0.0 <= g <= 1.0 and mean > 0.0
+        assert excinfo.value.objective >= fit.residual
 
 
 class TestModeSymmetry:

@@ -311,6 +311,8 @@ class TestConfigErrors:
         pytest.param("fit", {"fit": {"max_iterations": True}}, id="fit-iterations-bool"),
         pytest.param("fit", {"fit": {"n_max": 30.5}}, id="fit-n_max-fraction"),
         pytest.param("fit", {"fit": {"convergence_tol": True, "n_max": 30}}, id="fit-tol-bool"),
+        pytest.param("fit", {"fit": {"convergence_tol": float("inf"), "n_max": 30}},
+                     id="fit-tol-inf"),
         pytest.param("simulate", {"source": {"mean_photons": None}}, id="mean-null"),
         pytest.param("simulate", {"source": None}, id="source-null"),
         pytest.param("simulate", {"detector_h": {"efficiency": [0.5]}}, id="efficiency-list"),
@@ -321,6 +323,10 @@ class TestConfigErrors:
         pytest.param("simulate", {"shots": True}, id="shots-bool"),
         pytest.param("simulate", {"seed": 7.5}, id="seed-fraction"),
         pytest.param("simulate", {"seed": False}, id="seed-bool"),
+        pytest.param("simulate", {"source": {"mean_photons": "1.2", "correlation": 0.6}},
+                     id="mean-string"),
+        pytest.param("simulate", {"shots": "20000"}, id="shots-string"),
+        pytest.param("simulate", {"shots": "2e4"}, id="shots-exponent-string"),
         pytest.param("simulate", {"n_max": 8.9}, id="n_max-fraction"),
         pytest.param("simulate", {"source": {"mean_photons": True, "correlation": 0.6}},
                      id="mean-bool"),
@@ -343,6 +349,7 @@ class TestConfigErrors:
             "sweep": ["sweep", "--config", config],
         }[command]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_accepted(self, tmp_path):
         config = write_config(tmp_path / "config.json", shots=2e4, seed=13.0, n_max=10.0)
