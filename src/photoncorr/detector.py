@@ -45,8 +45,8 @@ class DetectorParams:
     def __post_init__(self):
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if not (self.dark_mean >= 0.0):
-            raise ValueError(f"dark_mean must be >= 0, got {self.dark_mean}")
+        if not (0.0 <= self.dark_mean < math.inf):
+            raise ValueError(f"dark_mean must be finite and >= 0, got {self.dark_mean}")
         if not (0.0 <= self.crosstalk < 1.0):
             raise ValueError(f"crosstalk must be in [0, 1), got {self.crosstalk}")
 

@@ -39,8 +39,8 @@ class SourceParams:
     correlation: float
 
     def __post_init__(self):
-        if not (self.mean_photons >= 0.0):
-            raise ValueError(f"mean_photons must be >= 0, got {self.mean_photons}")
+        if not (0.0 <= self.mean_photons < math.inf):
+            raise ValueError(f"mean_photons must be finite and >= 0, got {self.mean_photons}")
         if not (0.0 <= self.correlation <= 1.0):
             raise ValueError(f"correlation must be in [0, 1], got {self.correlation}")
 

@@ -17,13 +17,13 @@ darks, and crosstalk from stage 1 fixed (the per-mode efficiency is
 ``B + g (A - B)`` is linear in ``g`` (``A`` the detected correlated
 component, ``B`` the detected product), so ``g`` is profiled out in
 closed form and only the mean is searched (variable projection): a
-12-point log-spaced grid, then a golden-section search around every
-local minimum on it. ``A`` and ``B`` depend on stage 1 and the mean but
-not on the histogram, so many histograms with one stage 1 are fitted in
-one batch: each step of the search builds the terms at the points of
-all of them in one vectorised pass. The bootstrap fits all its resamples
-that way, and a single fit is the batch of one. Nothing is memoised
-between fits.
+12-point log-spaced grid, then a Brent search (parabolic steps, with
+golden-section steps as the safeguard) around every local minimum on
+it. ``A`` and ``B`` depend on stage 1 and the mean but not on the
+histogram, so many histograms with one stage 1 are fitted in one batch:
+each step of the search builds the terms at the points of all of them
+in one vectorised pass. The bootstrap fits all its resamples that way,
+and a single fit is the batch of one. Nothing is memoised between fits.
 
 Bootstrap uncertainties assume Poissonian counting noise: every cell is
 replaced by an independent Poisson draw centered on the observed count
@@ -66,7 +66,7 @@ class FitConfig:
     search, the grid before it not counted. ``convergence_tol`` is the
     relative tolerance at which the solvers stop: stage 1 when a step
     lowers the objective, or moves the parameters, by less than this
-    fraction; stage 2 when its bracket on ``log(mean)`` is narrower than
+    fraction; stage 2 when its bracket on ``log(mean)`` is no wider than
     the square root of it (the objective is quadratic near a minimum).
     """
 
@@ -230,7 +230,7 @@ def _mean_of(marginal: np.ndarray) -> float:
     return float(np.arange(marginal.size) @ marginal / total)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the share of the bracket a golden step keeps
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the share of the larger segment a golden step takes
 
 
 def _stage2_terms(
@@ -270,7 +270,7 @@ def _fit_stage2_batch(
     every evaluation.
     """
     emp = np.stack([h.counts / h.shots for h in histograms])
-    w = np.stack([_weights(h) for h in histograms])
+    weights = np.stack([_weights(h) for h in histograms])
     n_out, n_model = histograms[0].n_max, config.n_max
     after_loss = [
         after_loss_channel(dark, xtalk, min(n_out, n_model), n_out)
@@ -280,7 +280,7 @@ def _fit_stage2_batch(
 
     def evaluate(rows, log_means, product, slope):
         """The objective at each point, minimized over g in closed form."""
-        e, wr = emp[rows], w[rows]
+        e, wr = emp[rows], weights[rows]
         w_slope = wr * slope
         curvature = (w_slope * slope).sum(axis=(-2, -1))
         g = np.divide(
@@ -319,25 +319,57 @@ def _fit_stage2_batch(
         evaluate(every, np.full(every.size, u), product, slope)
         for u, product, slope in zip(grid, *_stage2_terms(stage1, grid, n_model, after_loss))
     ], axis=1)
-    # One search in the bracket around every grid point that is a local
-    # minimum, all run in lockstep.
+    # One Brent search in the bracket around every grid point that is a
+    # local minimum, started at that point, all run in lockstep. x is a
+    # search's best point, w its second best and v the previous w; d is
+    # its last step and e the one before.
     padded = np.pad(values, ((0, 0), (1, 1)), mode="edge")
     rows, k = np.nonzero(values <= np.minimum(padded[:, :-2], padded[:, 2:]))
     a, b = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, _MEAN_GRID_POINTS - 1)]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = probe(rows, c), probe(rows, d)
+    x = w = v = grid[k]
+    fx = fw = fv = values[rows, k]
+    d = e = np.zeros(rows.size)
+    # Brent's stop test |x - mid| <= 2 tol - (b - a) / 2 implies b - a <= 4 tol.
+    tol = math.sqrt(config.convergence_tol) / 4.0
     while True:
-        # The minimum lies in [a, d] or in [c, b]; the interior point left
-        # inside is kept and one new point is probed.
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        c, d = np.where(left, b - _GOLDEN * (b - a), d), np.where(left, c, a + _GOLDEN * (b - a))
-        wide = b - a >= math.sqrt(config.convergence_tol)
-        if not wide.any():
+        mid = 0.5 * (a + b)
+        running = np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)
+        if not running.any():
             break
-        rows, left, a, b, c, d, fc, fd = (x[wide] for x in (rows, left, a, b, c, d, fc, fd))
-        f = probe(rows, np.where(left, c, d))
-        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+        rows, a, b, x, w, v, fx, fw, fv, d, e, mid = (
+            s[running] for s in (rows, a, b, x, w, v, fx, fw, fv, d, e, mid)
+        )
+        # The vertex of the parabola through x, w and v is x + p / q. It is
+        # taken if it lies inside (a, b) and is under half the step before
+        # last; otherwise a golden step goes into the larger segment.
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = (np.abs(e) > tol) & (np.abs(p) < np.abs(0.5 * q * e))
+        parabolic &= (p > q * (a - x)) & (p < q * (b - x))
+        vertex = np.divide(p, q, out=np.zeros_like(p), where=parabolic)
+        segment = np.where(x >= mid, a - x, b - x)
+        e, d = np.where(parabolic, d, segment), np.where(parabolic, vertex, _GOLDEN * segment)
+        # No point within 2 tol of a bracket end, nor within tol of x.
+        near_end = parabolic & ((x + d - a < 2.0 * tol) | (b - (x + d) < 2.0 * tol))
+        d = np.where(near_end, np.where(mid >= x, tol, -tol), d)
+        u = x + np.copysign(np.maximum(np.abs(d), tol), d)
+        fu = probe(rows, u)
+        # The bracket end on u's side of x moves to x if u is better, else to u.
+        better = fu <= fx
+        lower, end = better == (u >= x), np.where(better, x, u)
+        a, b = np.where(lower, end, a), np.where(lower, b, end)
+        new_w = better | (fu <= fw) | (w == x)
+        new_v = new_w | (fu <= fv) | (v == x) | (v == w)
+        # v is set before w, and w before x, so each reads the other's old value.
+        v = np.where(new_w, w, np.where(new_v, u, v))
+        fv = np.where(new_w, fw, np.where(new_v, fu, fv))
+        w = np.where(better, x, np.where(new_w, u, w))
+        fw = np.where(better, fx, np.where(new_w, fu, fw))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
     return [_stage2_result(stage1, float(v), float(g), math.exp(u)) for v, g, u in best.T]
 
 
@@ -365,11 +397,14 @@ def fit_stage2(
     source mean is bounded below by the larger detected mean. For each
     mean, ``g`` takes its weighted least-squares value clipped to [0, 1].
     The mean is searched in ``log(mean)``: the profile is evaluated on a
-    log-spaced grid, and a golden-section search runs in the bracket
-    around every grid point that is a local minimum, until the bracket
-    is narrower than ``sqrt(convergence_tol)``; the best point seen is
-    kept. Nothing is cached between fits. Raises FitConvergenceError if a
-    search needs more than ``max_iterations`` evaluations.
+    log-spaced grid, and a Brent search starts at every grid point that
+    is a local minimum, in the bracket of its two neighbours. It steps to
+    the vertex of a parabola through three of its points where that is
+    safe, takes a golden-section step otherwise, and stops once its
+    bracket is no wider than ``sqrt(convergence_tol)``; the best point
+    seen is kept. Nothing is cached between fits. Raises
+    FitConvergenceError if a search needs more than ``max_iterations``
+    evaluations.
     """
     return _fit_stage2_batch([counts], stage1, config or FitConfig(), trace)[0]
 

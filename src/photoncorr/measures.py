@@ -11,6 +11,7 @@ limit) connects these measures to the source's degree of correlation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +174,8 @@ def heralded_efficiency(
     experimental ratio. The result equals ``g * efficiency`` of the
     non-heralding detector up to O(probe_mean**2).
     """
-    if probe_mean <= 0.0:
-        raise ValueError(f"probe_mean must be > 0, got {probe_mean}")
+    if not (0.0 < probe_mean < math.inf):
+        raise ValueError(f"probe_mean must be finite and > 0, got {probe_mean}")
     # Dark counts would contribute accidental coincidences that the
     # limit-based definition explicitly excludes.
     probe_h = DetectorParams(det_h.efficiency, 0.0, det_h.crosstalk)

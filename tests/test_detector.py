@@ -380,6 +380,8 @@ class TestDetectorParams:
             {"efficiency": 1.1, "dark_mean": 0.1, "crosstalk": 0.1},
             {"efficiency": 0.5, "dark_mean": -0.1, "crosstalk": 0.1},
             {"efficiency": 0.5, "dark_mean": 0.1, "crosstalk": 1.0},
+            {"efficiency": 0.5, "dark_mean": math.inf, "crosstalk": 0.1},
+            {"efficiency": 0.5, "dark_mean": math.nan, "crosstalk": 0.1},
         ],
     )
     def test_invalid_params(self, kwargs):

@@ -142,6 +142,11 @@ class TestMixtureJoint:
         with pytest.raises(ValueError):
             SourceParams(1.0, -0.1)
 
+    @pytest.mark.parametrize("mean", [-0.1, math.inf, math.nan])
+    def test_invalid_mean(self, mean):
+        with pytest.raises(ValueError, match="mean_photons must be finite"):
+            SourceParams(mean, 0.5)
+
     @pytest.mark.parametrize("g", [0.1, 0.5, 0.9])
     def test_linearity(self, g):
         full = mixture_joint(SourceParams(2.0, 1.0), 20).probs

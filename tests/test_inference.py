@@ -53,6 +53,31 @@ def poisson_objective(counts, model, target):
     return float((diff * diff / np.maximum(counts.counts, 1)).sum())
 
 
+def profiled_objective(counts, stage1, mean, n_model):
+    """The stage-2 objective at ``mean`` with g at its best value in [0, 1].
+
+    The model is affine in g and the objective quadratic in it, so g is
+    the unconstrained minimiser clipped to [0, 1].
+    """
+    det_h, det_v = (
+        DetectorParams(min(detected / mean, 1.0), dark, xtalk)
+        for detected, dark, xtalk in (
+            (stage1.detected_mean_h, stage1.dark_h, stage1.xtalk_h),
+            (stage1.detected_mean_v, stage1.dark_v, stage1.xtalk_v),
+        )
+    )
+    product, correlated = (
+        apply_two_mode(
+            mixture_joint(SourceParams(mean, g), n_model), det_h, det_v, counts.n_max
+        ).probs
+        for g in (0.0, 1.0)
+    )
+    slope, emp = correlated - product, counts.counts / counts.shots
+    w = 1.0 / np.maximum(counts.counts, 1)
+    g = np.clip((w * slope * (emp - product)).sum() / (w * slope * slope).sum(), 0.0, 1.0)
+    return poisson_objective(counts, product + g * slope, emp)
+
+
 # A histogram at the FIT detectors and one at the reference (PAPER)
 # detectors: (det_h, det_v, g, shots, n_out).
 REFERENCE_HISTOGRAMS = pytest.mark.parametrize(
@@ -206,6 +231,21 @@ class TestStage2:
         ).probs
         expected = poisson_objective(counts, model, counts.counts / counts.shots)
         assert fit.residual == pytest.approx(expected, rel=1e-12)
+
+    @REFERENCE_HISTOGRAMS
+    def test_no_lower_point_at_the_stop_width(self, det_h, det_v, g, shots, n_out):
+        # The search stops once its bracket on log(mean) is no wider than
+        # sqrt(convergence_tol), so the profile one such width to either
+        # side of the fit is not lower. A search that stopped early, away
+        # from the minimum, would leave a lower point on one side.
+        counts = simulate_counts(g, det_h, det_v, shots, 7, n_out)
+        config = FitConfig(n_max=40)
+        s1 = fit_stage1(counts, config)
+        fit = fit_stage2(counts, s1, config)
+        width = math.sqrt(config.convergence_tol)
+        for mean in fit.source.mean_photons * np.exp([-width, width]):
+            objective = profiled_objective(counts, s1, mean, config.n_max)
+            assert objective >= fit.residual * (1.0 - 1e-12)
 
     def test_reaches_global_basin(self):
         # At the reference detectors the objective over the source mean
@@ -372,30 +412,43 @@ class TestStage2Batch:
                 assert getattr(fit, field.name) == getattr(alone[i], field.name), field.name
 
     def test_loss_builds_do_not_grow_with_resamples(self, monkeypatch):
-        # One pass of the search evaluates one point of every running
-        # search and makes two loss matrices, after one pass over the grid.
-        # The widest bracket spans two grid steps and shrinks by the golden
-        # ratio per evaluation after the first, down to sqrt(tol).
+        # A batch makes one pass over the grid, then one pass per step of
+        # its longest-running row, and every pass makes two loss matrices
+        # (one per mode) whatever the number of rows.
         counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
         config = FitConfig(n_max=40)
         stage1 = fit_stage1(counts, config)
-        mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
-        width = 2.0 * math.log(max(config.n_max / 3.0, 2.0 * mean_lo) / mean_lo) / 11
-        golden = (math.sqrt(5.0) - 1.0) / 2.0
-        evaluations = 1 + math.ceil(math.log(width / math.sqrt(config.convergence_tol), 1 / golden))
-        builds = []
+        calls = []
 
-        def counted_loss(*args):
-            builds.append(args)
-            return loss_matrix(*args)
+        def counting(function):
+            def wrapper(*args):
+                calls.append(function)
+                return function(*args)
 
-        monkeypatch.setattr(inference, "loss_matrix", counted_loss)
-        calls = {}
+            return wrapper
+
+        def calls_to(function, fit, *args):
+            calls.clear()
+            fit(*args)
+            return calls.count(function)
+
+        terms = inference._stage2_terms
+        monkeypatch.setattr(inference, "_stage2_terms", counting(terms))
+        monkeypatch.setattr(inference, "loss_matrix", counting(loss_matrix))
         for n_resamples in (20, 40):
-            builds.clear()
-            bootstrap(counts, n_resamples, 3, config, stage1)
-            calls[n_resamples] = len(builds)
-        assert calls[20] == calls[40] <= 2 * (1 + evaluations)
+            resamples = [poisson_resample(counts, _stream_rng(3, r)) for r in range(n_resamples)]
+            passes = max(calls_to(terms, fit_stage2, x, stage1, config) - 1 for x in resamples)
+            builds = calls_to(loss_matrix, bootstrap, counts, n_resamples, 3, config, stage1)
+            assert builds == 2 * (1 + passes), n_resamples
+
+    def test_search_takes_few_evaluations(self):
+        # On this smooth one-minimum profile the parabolic steps reach the
+        # stop width in 9 evaluations; a golden-section search needs 33.
+        counts = simulate_counts(0.47, FIT_DET_H, FIT_DET_V, 300_000, 9, 30)
+        config = FitConfig(n_max=60)
+        trace = []
+        fit_stage2(counts, fit_stage1(counts, config), config, trace=trace)
+        assert len(trace) - 12 <= 15
 
     def test_budget_is_the_search_evaluation_count(self):
         # At the FIT detectors the profile has one minimum on the grid, so

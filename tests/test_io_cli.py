@@ -301,44 +301,58 @@ class TestFitCommand:
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("command, overrides", [
-        pytest.param("fit", {"fit": {"n_max": None}}, id="fit-n_max-null"),
-        pytest.param("fit", {"fit": [1]}, id="fit-list"),
-        pytest.param("fit", {"fit": {"max_iterations": float("inf")}}, id="fit-iterations-inf"),
-        pytest.param("fit", {"seed": [5]}, id="fit-seed-list"),
-        pytest.param("fit", {"seed": 7.5}, id="fit-seed-fraction"),
-        pytest.param("fit", {"fit": {"max_iterations": 10.5}}, id="fit-iterations-fraction"),
-        pytest.param("fit", {"fit": {"max_iterations": True}}, id="fit-iterations-bool"),
-        pytest.param("fit", {"fit": {"n_max": 30.5}}, id="fit-n_max-fraction"),
-        pytest.param("fit", {"fit": {"convergence_tol": True, "n_max": 30}}, id="fit-tol-bool"),
+    # (command, config overrides, the key the error message must name)
+    @pytest.mark.parametrize("command, overrides, key", [
+        pytest.param("fit", {"fit": {"n_max": None}}, "n_max", id="fit-n_max-null"),
+        pytest.param("fit", {"fit": [1]}, "fit", id="fit-list"),
+        pytest.param("fit", {"fit": {"max_iterations": float("inf")}}, "max_iterations",
+                     id="fit-iterations-inf"),
+        pytest.param("fit", {"seed": [5]}, "seed", id="fit-seed-list"),
+        pytest.param("fit", {"seed": 7.5}, "seed", id="fit-seed-fraction"),
+        pytest.param("fit", {"fit": {"max_iterations": 10.5}}, "max_iterations",
+                     id="fit-iterations-fraction"),
+        pytest.param("fit", {"fit": {"max_iterations": True}}, "max_iterations",
+                     id="fit-iterations-bool"),
+        pytest.param("fit", {"fit": {"n_max": 30.5}}, "n_max", id="fit-n_max-fraction"),
+        pytest.param("fit", {"fit": {"convergence_tol": True, "n_max": 30}}, "convergence_tol",
+                     id="fit-tol-bool"),
         pytest.param("fit", {"fit": {"convergence_tol": float("inf"), "n_max": 30}},
-                     id="fit-tol-inf"),
-        pytest.param("simulate", {"source": {"mean_photons": None}}, id="mean-null"),
-        pytest.param("simulate", {"source": None}, id="source-null"),
-        pytest.param("simulate", {"detector_h": {"efficiency": [0.5]}}, id="efficiency-list"),
-        pytest.param("simulate", {"shots": [1]}, id="shots-list"),
-        pytest.param("simulate", {"seed": [13]}, id="seed-list"),
-        pytest.param("simulate", {"n_max": None}, id="n_max-null"),
-        pytest.param("simulate", {"shots": 1000.9}, id="shots-fraction"),
-        pytest.param("simulate", {"shots": True}, id="shots-bool"),
-        pytest.param("simulate", {"seed": 7.5}, id="seed-fraction"),
-        pytest.param("simulate", {"seed": False}, id="seed-bool"),
+                     "convergence_tol", id="fit-tol-inf"),
+        pytest.param("simulate", {"source": {"mean_photons": None}}, "mean_photons",
+                     id="mean-null"),
+        pytest.param("simulate", {"source": None}, "source", id="source-null"),
+        pytest.param("simulate", {"detector_h": {"efficiency": [0.5]}}, "efficiency",
+                     id="efficiency-list"),
+        pytest.param("simulate", {"shots": [1]}, "shots", id="shots-list"),
+        pytest.param("simulate", {"seed": [13]}, "seed", id="seed-list"),
+        pytest.param("simulate", {"n_max": None}, "n_max", id="n_max-null"),
+        pytest.param("simulate", {"shots": 1000.9}, "shots", id="shots-fraction"),
+        pytest.param("simulate", {"shots": True}, "shots", id="shots-bool"),
+        pytest.param("simulate", {"seed": 7.5}, "seed", id="seed-fraction"),
+        pytest.param("simulate", {"seed": False}, "seed", id="seed-bool"),
         pytest.param("simulate", {"source": {"mean_photons": "1.2", "correlation": 0.6}},
-                     id="mean-string"),
-        pytest.param("simulate", {"shots": "20000"}, id="shots-string"),
-        pytest.param("simulate", {"shots": "2e4"}, id="shots-exponent-string"),
-        pytest.param("simulate", {"n_max": 8.9}, id="n_max-fraction"),
+                     "mean_photons", id="mean-string"),
+        pytest.param("simulate", {"shots": "20000"}, "shots", id="shots-string"),
+        pytest.param("simulate", {"shots": "2e4"}, "shots", id="shots-exponent-string"),
+        pytest.param("simulate", {"n_max": 8.9}, "n_max", id="n_max-fraction"),
         pytest.param("simulate", {"source": {"mean_photons": True, "correlation": 0.6}},
-                     id="mean-bool"),
+                     "mean_photons", id="mean-bool"),
         pytest.param("simulate",
                      {"detector_h": {"efficiency": 0.4, "dark_mean": False, "crosstalk": 0.06}},
-                     id="dark_mean-bool"),
-        pytest.param("sweep", {"shots": 1000.9, "g_list": [0.5]}, id="sweep-shots-fraction"),
-        pytest.param("sweep", {"g_list": None}, id="g_list-null"),
-        pytest.param("sweep", {"g_list": [None]}, id="g_list-item-null"),
-        pytest.param("sweep", {"g_list": [True]}, id="g_list-item-bool"),
+                     "dark_mean", id="dark_mean-bool"),
+        pytest.param("simulate", {"source": {"mean_photons": float("inf"), "correlation": 0.6}},
+                     "mean_photons", id="mean-inf"),
+        pytest.param("simulate",
+                     {"detector_h": {"efficiency": 0.4, "dark_mean": float("inf"),
+                                     "crosstalk": 0.06}},
+                     "dark_mean", id="dark-inf"),
+        pytest.param("sweep", {"shots": 1000.9, "g_list": [0.5]}, "shots",
+                     id="sweep-shots-fraction"),
+        pytest.param("sweep", {"g_list": None}, "g_list", id="g_list-null"),
+        pytest.param("sweep", {"g_list": [None]}, "g_list", id="g_list-item-null"),
+        pytest.param("sweep", {"g_list": [True]}, "g_list", id="g_list-item-bool"),
     ])
-    def test_malformed_value_exit_code(self, tmp_path, command, overrides):
+    def test_malformed_value_exit_code(self, tmp_path, capsys, command, overrides, key):
         config = write_config(tmp_path / "config.json", **overrides)
         counts = CountsMatrix(n_max=1, counts=np.array([[3, 1], [1, 2]]), shots=7)
         counts_path = str(tmp_path / "counts.csv")
@@ -350,6 +364,7 @@ class TestConfigErrors:
         }[command]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+        assert key in capsys.readouterr().err
 
     def test_integral_float_accepted(self, tmp_path):
         config = write_config(tmp_path / "config.json", shots=2e4, seed=13.0, n_max=10.0)

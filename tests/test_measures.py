@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -239,6 +241,14 @@ class TestHeraldedEfficiency:
         det = DetectorParams(0.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             heralded_efficiency(SourceParams(1.0, 0.5), det, det, probe_mean=0.0)
+
+    @pytest.mark.parametrize("probe_mean", [-1e-4, math.nan, math.inf])
+    def test_probe_mean_named_when_rejected(self, probe_mean):
+        # A NaN fails every comparison, so it must not reach SourceParams
+        # and be reported as a bad mean_photons.
+        det = DetectorParams(0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="probe_mean must be finite"):
+            heralded_efficiency(SourceParams(1.0, 0.5), det, det, probe_mean=probe_mean)
 
 
 class TestCoincidenceRatio:
