@@ -247,13 +247,19 @@ def cmd_sweep(args) -> int:
     started = time.time()
     config = _load_config(args.config)
     if args.g_list is not None:
-        g_values = [float(v) for v in args.g_list.split(",") if v]
+        try:
+            g_values = [float(v) for v in args.g_list.split(",") if v]
+        except ValueError as err:
+            raise ConfigError(f"--g-list: not a comma-separated list of numbers: "
+                              f"{args.g_list!r}") from err
     elif "g_list" in config:
         if not isinstance(config["g_list"], list):
             raise ConfigError(f"config key 'g_list' must be a list, got {config['g_list']!r}")
         g_values = [_number(float, v, "g_list") for v in config["g_list"]]
     else:
         raise ConfigError("g list must be given in the config or with --g-list")
+    if not g_values:
+        raise ConfigError("g_list is empty: give at least one g value")
     fit_cfg = _params(FitConfig, config.get("fit", {}), "fit")
     base = _sim_config(config, args)
     check_n_bootstrap(args.bootstrap)

@@ -16,7 +16,10 @@ Each stage is a transfer matrix ``P(measured m | true n)``, a plain
 one mode is their product, and this module is the only place that chain
 is built. A column holds only the mass that lands in the output range:
 counts beyond it are dropped, never clamped into the top bin, so the
-column falls short of 1 by exactly its overflow.
+column falls short of 1 by exactly its overflow. The derivatives of the
+after-loss part in the dark mean and the crosstalk, which a fit's
+Jacobian needs, are read off the same two matrices
+(``_after_loss_derivatives``).
 
 The binomial and Poisson kernels are evaluated in closed form from one
 cached table of log-factorials per dimension, so the module needs only
@@ -186,6 +189,29 @@ def after_loss_channel(
     if n_out is None:
         n_out = n_in
     return crosstalk_matrix(crosstalk, n_out, n_out) @ dark_matrix(dark_mean, n_in, n_out)
+
+
+def _after_loss_derivatives(
+    dark_mean: float, crosstalk: float, n_in: int, n_out: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``after_loss_channel`` and its derivatives in the dark mean and the crosstalk.
+
+    The Poisson pmf's derivative in its mean is ``p(k-1) - p(k)``, so the
+    dark matrix's is itself shifted down one row, minus itself. A
+    crosstalk column is Binomial(n, eps) at ``m - n``, whose derivative
+    ``n (X[m-2, n-1] - X[m-1, n-1])`` reads two shifted copies of the
+    crosstalk matrix ``X``. Row ``m`` of either reads only rows up to ``m``,
+    so both are exact under the ``n_out`` truncation, as the channel is.
+    """
+    xtalk = crosstalk_matrix(crosstalk, n_out, n_out)
+    dark = dark_matrix(dark_mean, n_in, n_out)
+    d_dark = -dark
+    d_dark[1:] += dark[:-1]
+    d_xtalk = np.zeros_like(xtalk)
+    d_xtalk[2:, 1:] = xtalk[:-2, :-1]
+    d_xtalk[1:, 1:] -= xtalk[:-1, :-1]
+    d_xtalk *= np.arange(n_out + 1)
+    return xtalk @ dark, xtalk @ d_dark, d_xtalk @ dark
 
 
 def compose_channel(params: DetectorParams, n_in: int, n_out: int | None = None) -> np.ndarray:

@@ -8,7 +8,10 @@ efficiency, so stage 1 can only identify the product
 ``efficiency * mean_photons`` (the detected mean); the coincidence
 structure in stage 2 splits it. It is a small smooth nonlinear
 least-squares problem, solved by a bounded trust-region method started
-at the empirical marginal means, with no dark counts or crosstalk.
+at the empirical marginal means, with no dark counts or crosstalk. Its
+Jacobian is exact: each column is the outer product of one mode's
+marginal derivative with the other mode's marginal, and the derivatives
+come from the matrices the marginal is built from.
 
 Stage 2 fits the full joint histogram with the degree of correlation and
 the source mean as the free parameters, holding the detected means,
@@ -41,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DetectorParams, after_loss_channel, loss_matrix
+from .detector import DetectorParams, _after_loss_derivatives, after_loss_channel, loss_matrix
 from .distributions import JointDistribution, SourceParams, _thermal_probs, mixture_joint
 from .measures import product_distance, singular_spectrum
 from .montecarlo import CountsMatrix, _stream_rng, normalize
@@ -144,6 +147,25 @@ def _detected_marginal(
     return after_loss_channel(dark, xtalk, n_model, n_out) @ t
 
 
+def _detected_marginal_jacobian(
+    detected_mean: float,
+    dark: float,
+    xtalk: float,
+    n_model: int,
+    n_out: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_detected_marginal`` and its ``(n_out+1, 3)`` derivative in its first three arguments.
+
+    The truncated thermal ``t_n = mean^n / (1+mean)^(n+1)`` has derivative
+    ``t_n (n/mean - (n+1)/(1+mean))``.
+    """
+    t = _thermal_probs(detected_mean, n_model)
+    n = np.arange(n_model + 1)
+    dt = t * (n / detected_mean - (n + 1) / (1.0 + detected_mean))
+    chan, d_dark, d_xtalk = _after_loss_derivatives(dark, xtalk, n_model, n_out)
+    return chan @ t, np.column_stack([chan @ dt, d_dark @ t, d_xtalk @ t])
+
+
 def _empirical_marginals(counts: CountsMatrix) -> tuple[np.ndarray, np.ndarray]:
     p = counts.counts / counts.shots
     return p.sum(axis=1), p.sum(axis=0)
@@ -157,7 +179,8 @@ def fit_stage1(
     Free parameters are, per mode, the detected thermal mean, the dark
     mean, and the crosstalk probability. They are found by one bounded
     trust-region least-squares run on the weighted residuals, started at
-    each mode's empirical mean with darks and crosstalk at zero. Raises
+    each mode's empirical mean with darks and crosstalk at zero, with the
+    exact Jacobian of the residuals. Raises
     ValueError for a degenerate histogram (fewer than two occupied bins
     in a marginal) and FitConvergenceError if the solver exhausts its
     budget.
@@ -184,6 +207,19 @@ def fit_stage1(
             trace.append(best)
         return r
 
+    def jacobian(x):
+        # A parameter of mode h moves the residual by the outer product of
+        # its marginal's derivative with mode v's marginal, and vice versa.
+        (marg_h, jac_h), (marg_v, jac_v) = (
+            _detected_marginal_jacobian(*x[mode::2], n_model, n_out) for mode in (0, 1)
+        )
+        columns = np.stack(
+            [jac_h[:, None, :] * marg_v[None, :, None], marg_h[:, None, None] * jac_v[None]],
+            axis=-1,
+        )
+        # Columns (N, N, 3, 2) flatten to the parameter order of x.
+        return (sqrt_w[:, :, None, None] * columns).reshape(sqrt_w.size, 6)
+
     mean_h, mean_v = _mean_of(emp_h), _mean_of(emp_v)
     mean_cap = 2.0 * max(mean_h, mean_v) + 1.0
     # Parameter order: detected means, darks, crosstalks, each (h, v).
@@ -194,9 +230,7 @@ def fit_stage1(
         residuals,
         np.clip(x0, lower, upper),
         bounds=(lower, upper),
-        # Central differences: the objective is flat along the dark/crosstalk
-        # trade-off, where forward-difference error moves the optimum.
-        jac="3-point",
+        jac=jacobian,
         x_scale="jac",
         ftol=config.convergence_tol,
         xtol=config.convergence_tol,

@@ -125,6 +125,14 @@ class TestStage1:
         assert excinfo.value.best is not None
         assert np.isfinite(excinfo.value.objective)
 
+    def test_few_residual_evaluations(self):
+        # With the exact Jacobian, every residual evaluation is a trial
+        # step; central differences took 157 here.
+        counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 6, 7, 12)
+        trace = []
+        fit_stage1(counts, FitConfig(n_max=40), trace=trace)
+        assert len(trace) <= 30
+
     @REFERENCE_HISTOGRAMS
     def test_not_above_generating_parameters(self, det_h, det_v, g, shots, n_out):
         # Stage 1 starts from the data, not from the truth, and must still
@@ -141,6 +149,46 @@ class TestStage1:
         emp = counts.counts / counts.shots
         target = np.outer(emp.sum(axis=1), emp.sum(axis=0))
         assert s1.residual <= poisson_objective(counts, np.outer(marg_h, marg_v), target)
+
+
+class TestStage1Jacobian:
+    @staticmethod
+    def _finite_difference(x, k, n_model, n_out):
+        """Derivative of ``_detected_marginal`` in ``x[k]``.
+
+        Central, or second-order forward within a step of 0: darks and
+        crosstalk cannot go below the bound where stage 1 starts.
+        """
+        step = 1e-5 * (x[0] if k == 0 else 1.0)
+
+        def at(dx):
+            y = list(x)
+            y[k] += dx
+            return inference._detected_marginal(*y, n_model, n_out)
+
+        if x[k] < step:
+            return (4.0 * at(step) - at(2.0 * step) - 3.0 * at(0.0)) / (2.0 * step)
+        return (at(step) - at(-step)) / (2.0 * step)
+
+    @pytest.mark.parametrize("longer", [False, True], ids=["n_out-short", "n_out-long"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        mean=st.floats(min_value=0.01, max_value=10.0),
+        dark=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+        xtalk=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.45)),
+        n_model=st.integers(min_value=2, max_value=40),
+        offset=st.integers(min_value=1, max_value=20),
+    )
+    def test_matches_finite_differences(self, longer, mean, dark, xtalk, n_model, offset):
+        n_out = n_model + offset if longer else max(n_model - offset, 1)
+        x = [mean, dark, xtalk]
+        marginal, jac = inference._detected_marginal_jacobian(*x, n_model, n_out)
+        assert jac.shape == (n_out + 1, 3)
+        assert np.array_equal(marginal, inference._detected_marginal(*x, n_model, n_out))
+        for k in range(3):
+            np.testing.assert_allclose(
+                jac[:, k], self._finite_difference(x, k, n_model, n_out), rtol=0.0, atol=1e-7
+            )
 
 
 class TestStage2:

@@ -351,6 +351,7 @@ class TestConfigErrors:
         pytest.param("sweep", {"g_list": None}, "g_list", id="g_list-null"),
         pytest.param("sweep", {"g_list": [None]}, "g_list", id="g_list-item-null"),
         pytest.param("sweep", {"g_list": [True]}, "g_list", id="g_list-item-bool"),
+        pytest.param("sweep", {"g_list": []}, "g_list", id="g_list-empty"),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, command, overrides, key):
         config = write_config(tmp_path / "config.json", **overrides)
@@ -445,6 +446,23 @@ class TestSweepCommand:
     def test_missing_g_list_exit_code(self, tmp_path):
         config = write_config(tmp_path / "config.json")
         assert main(["sweep", "--config", config, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("g_list, named", [
+        pytest.param("", "g_list", id="empty"),
+        pytest.param(",", "g_list", id="comma"),
+        pytest.param("0.1,abc", "--g-list", id="not-a-number"),
+    ])
+    def test_bad_g_list_flag_exit_code(self, tmp_path, capsys, monkeypatch, g_list, named):
+        config = write_config(tmp_path / "config.json")
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a bad --g-list must be rejected before any simulation")
+
+        monkeypatch.setattr(photoncorr.cli, "simulate", must_not_run)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--g-list", g_list, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
 
     def test_fitted_g_linear_in_heralded_efficiency(self, tmp_path):
         # The fitted degree of correlation tracks the model heralded
