@@ -21,9 +21,11 @@ after-loss part in the dark mean and the crosstalk, which a fit's
 Jacobian needs, are read off the same two matrices
 (``_after_loss_derivatives``).
 
-The binomial and Poisson kernels are evaluated in closed form from one
-cached table of log-factorials per dimension, so the module needs only
-numpy.
+The kernels are evaluated in closed form from cached read-only tables,
+so the module needs only numpy: the Poisson and crosstalk kernels from
+one table of log-factorials per dimension, and the loss kernel from one
+table of exact binomial coefficients per dimension, times powers of the
+efficiency and of its complement (``_loss_factors``).
 """
 
 from __future__ import annotations
@@ -84,47 +86,54 @@ def _log_binom_table(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _loss_exponents(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents of ``eta`` and ``1-eta`` in the loss kernel, as floats.
+def _binom_table(dim: int) -> np.ndarray:
+    """Exact ``C(n, m)`` at ``[m, n]`` for ``0 <= m, n < dim``, 0 where ``m > n``; read-only."""
+    table = np.array([[float(math.comb(n, m)) for n in range(dim)] for m in range(dim)])
+    table.setflags(write=False)
+    return table
 
-    ``m`` is a ``(dim, 1)`` column and ``k - m`` a ``(dim, dim)`` matrix
-    indexed ``[m, k]``; both are read-only and built once per dimension.
+
+def _loss_factors(efficiencies, n: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``0 .. n_out`` (``n_out <= n``) of the loss matrix on ``0 .. n``, as two factors.
+
+    The matrix of efficiency ``eta`` is ``keep[:, None] * lose``, with
+    ``keep[m] = eta^m`` and ``lose[m, k] = C(k, m) (1-eta)^(k-m)``: the
+    exact binomial table times a Toeplitz matrix in ``k - m``, read as a
+    strided view of one padded vector of the powers of ``1-eta``, so an
+    efficiency costs ``n_out + n + 1`` exps. Every factor but ``C`` is at
+    most 1, so nothing overflows, even where ``1-eta`` is tiny. The
+    factors of a sequence of efficiencies are stacked along a leading
+    axis, each bitwise those of the efficiency alone.
     """
-    m = np.arange(dim, dtype=float)[:, None]
-    k_minus_m = np.arange(dim, dtype=float)[None, :] - m
-    m.setflags(write=False)
-    k_minus_m.setflags(write=False)
-    return m, k_minus_m
+    if not all(0.0 < eta <= 1.0 for eta in efficiencies):
+        raise ValueError(f"efficiency must be in (0, 1], got {efficiencies}")
+    # Scalar logs, as in the closed form (numpy's can differ in the last
+    # bit). At efficiency 1 every power of 1-eta past the 0th is exp(-inf) = 0.
+    log_keep = np.array([math.log(eta) for eta in efficiencies])[:, None]
+    log_lose = np.array([math.log1p(-eta) if eta < 1.0 else -math.inf for eta in efficiencies])
+    keep = np.exp(np.arange(n_out + 1) * log_keep)
+    # n_out zeros, then (1-eta)^j for j = 0 .. n. Row m of the view starts
+    # m places before the 0th power.
+    powers = np.zeros((len(efficiencies), n_out + n + 1))
+    powers[:, n_out] = 1.0
+    powers[:, n_out + 1 :] = np.exp(np.arange(1, n + 1) * log_lose[:, None])
+    step = powers.itemsize
+    toeplitz = np.lib.stride_tricks.as_strided(
+        powers[:, n_out:], (len(efficiencies), n_out + 1, n + 1), (powers.strides[0], -step, step)
+    )
+    return keep, _binom_table(n + 1)[: n_out + 1] * toeplitz
 
 
-def loss_matrix(efficiency, n: int, n_out: int | None = None) -> np.ndarray:
+def loss_matrix(efficiency: float, n: int) -> np.ndarray:
     """Binomial-thinning loss channel on photon numbers ``0 .. n``.
 
-    ``entry[m, k] = C(k, m) eta^m (1-eta)^(k-m)`` for m <= k, in an
-    ``(n_out+1, n+1)`` matrix. Loss never raises the count, so no mass
-    leaves the full range and every column of the ``n_out = n`` default
-    sums to 1; a short ``n_out <= n`` drops bottom rows. A 1-D array of
-    efficiencies gives one matrix per efficiency along a leading axis,
-    each bitwise the matrix of that efficiency alone.
+    ``entry[m, k] = C(k, m) eta^m (1-eta)^(k-m)`` for m <= k, an
+    ``(n+1, n+1)`` matrix: ``keep[:, None] * lose`` from ``_loss_factors``,
+    the one loss kernel. Loss never raises the count, so every column
+    sums to 1, and efficiency 1 gives the exact identity.
     """
-    eta = np.asarray(efficiency, dtype=float)
-    if not np.all((eta > 0.0) & (eta <= 1.0)):
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    rows = n + 1 if n_out is None else n_out + 1
-    if not 0 < rows <= n + 1:
-        raise ValueError(f"n_out must be in [0, {n}], got {n_out}")
-    m, k_minus_m = _loss_exponents(n + 1)
-    # Scalar logs, as in the closed form (numpy's can differ in the last
-    # bit); at efficiency 1 the matrix is set to the identity below.
-    shape = eta.shape + (1, 1)
-    log_keep = np.reshape([math.log(e) for e in eta.flat], shape)
-    log_lose = np.reshape([math.log1p(-e) if e < 1.0 else 0.0 for e in eta.flat], shape)
-    # -inf in the table (m > k) gives exactly zero.
-    out = _log_binom_table(n + 1)[:rows] + m[:rows] * log_keep
-    out += k_minus_m[:rows] * log_lose
-    np.exp(out, out=out)
-    out[eta == 1.0] = np.eye(rows, n + 1)
-    return out
+    keep, lose = _loss_factors([efficiency], n, n)
+    return keep[0, :, None] * lose[0]
 
 
 def _poisson_pmf(mean: float, k_max: int) -> np.ndarray:

@@ -11,7 +11,9 @@ least-squares problem, solved by a bounded trust-region method started
 at the empirical marginal means, with no dark counts or crosstalk. Its
 Jacobian is exact: each column is the outer product of one mode's
 marginal derivative with the other mode's marginal, and the derivatives
-come from the matrices the marginal is built from.
+come from the matrices the marginal is built from. Each residual
+evaluation builds the marginals and their derivatives together, and the
+Jacobian at that point reuses them.
 
 Stage 2 fits the full joint histogram with the degree of correlation and
 the source mean as the free parameters, holding the detected means,
@@ -25,8 +27,12 @@ golden-section steps as the safeguard) around every local minimum on
 it. ``A`` and ``B`` depend on stage 1 and the mean but not on the
 histogram, so many histograms with one stage 1 are fitted in one batch:
 each step of the search builds the terms at the points of all of them
-in one vectorised pass. The bootstrap fits all its resamples that way,
-and a single fit is the batch of one. Nothing is memoised between fits.
+in one vectorised pass. Each mode's loss matrix enters the terms as its
+two factors (``detector._loss_factors``), so a pass takes O(n) exps per
+point and mode, not one per loss-matrix entry. ``fit_counts`` with a
+bootstrap fits the counts and all the resamples in one batch, the counts
+as row 0; a single fit is the batch of one. A batch's rows are bitwise
+their fits alone, and nothing is memoised between fits.
 
 Bootstrap uncertainties assume Poissonian counting noise: every cell is
 replaced by an independent Poisson draw centered on the observed count
@@ -44,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DetectorParams, _after_loss_derivatives, after_loss_channel, loss_matrix
+from .detector import DetectorParams, _after_loss_derivatives, _loss_factors, after_loss_channel
 from .distributions import JointDistribution, SourceParams, _thermal_probs, mixture_joint
 from .measures import product_distance, singular_spectrum
 from .montecarlo import CountsMatrix, _stream_rng, normalize
@@ -135,18 +141,6 @@ def _weights(counts: CountsMatrix) -> np.ndarray:
     return 1.0 / np.maximum(counts.counts, 1)
 
 
-def _detected_marginal(
-    detected_mean: float,
-    dark: float,
-    xtalk: float,
-    n_model: int,
-    n_out: int,
-) -> np.ndarray:
-    """Thermal mode with the loss already absorbed, then darks and crosstalk."""
-    t = _thermal_probs(detected_mean, n_model)
-    return after_loss_channel(dark, xtalk, n_model, n_out) @ t
-
-
 def _detected_marginal_jacobian(
     detected_mean: float,
     dark: float,
@@ -154,9 +148,11 @@ def _detected_marginal_jacobian(
     n_model: int,
     n_out: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_detected_marginal`` and its ``(n_out+1, 3)`` derivative in its first three arguments.
+    """A thermal mode with the loss already absorbed, then darks and crosstalk.
 
-    The truncated thermal ``t_n = mean^n / (1+mean)^(n+1)`` has derivative
+    Returns the detected marginal and its ``(n_out+1, 3)`` derivative in
+    the first three arguments. The truncated thermal
+    ``t_n = mean^n / (1+mean)^(n+1)`` has derivative
     ``t_n (n/mean - (n+1)/(1+mean))``.
     """
     t = _thermal_probs(detected_mean, n_model)
@@ -197,10 +193,15 @@ def fit_stage1(
     n_model = config.n_max
     best = math.inf
 
+    latest = {}  # the point of the latest residual and its per-mode marginals and derivatives
+
+    def modes(x):
+        return [_detected_marginal_jacobian(*x[mode::2], n_model, n_out) for mode in (0, 1)]
+
     def residuals(x):
         nonlocal best
-        marg_h = _detected_marginal(x[0], x[2], x[4], n_model, n_out)
-        marg_v = _detected_marginal(x[1], x[3], x[5], n_model, n_out)
+        latest.update(x=x.copy(), modes=modes(x))
+        (marg_h, _), (marg_v, _) = latest["modes"]
         r = (sqrt_w * (np.outer(marg_h, marg_v) - target)).ravel()
         best = min(best, float(r @ r))
         if trace is not None:
@@ -208,10 +209,12 @@ def fit_stage1(
         return r
 
     def jacobian(x):
-        # A parameter of mode h moves the residual by the outer product of
-        # its marginal's derivative with mode v's marginal, and vice versa.
+        # least_squares asks for the Jacobian at its latest residual's point,
+        # whose matrices are reused. A parameter of mode h moves the residual
+        # by the outer product of its marginal's derivative with mode v's
+        # marginal, and vice versa.
         (marg_h, jac_h), (marg_v, jac_v) = (
-            _detected_marginal_jacobian(*x[mode::2], n_model, n_out) for mode in (0, 1)
+            latest["modes"] if np.array_equal(x, latest["x"]) else modes(x)
         )
         columns = np.stack(
             [jac_h[:, None, :] * marg_v[None, :, None], marg_h[:, None, None] * jac_v[None]],
@@ -274,19 +277,29 @@ def _stage2_terms(
 
     ``product`` is the detected product of the thermal marginals and
     ``slope`` the correlated (diagonal) source term, detected, minus it.
-    Neither depends on the histogram.
+    Neither depends on the histogram. Each mode's loss matrix enters as
+    its factors ``keep[..., None] * lose`` (``_loss_factors``), so the
+    correlated term is ``C_h diag(keep_h) (lose_h diag(t) lose_v.T)
+    diag(keep_v) C_v.T``, with ``C`` the after-loss channels. Every
+    product is a per-row stacked matmul, so each row is bitwise the same
+    as in a batch of one.
     """
     means = [math.exp(u) for u in log_means]
     # The after-loss channels have zero columns past the output range, so
     # only that many rows of each loss matrix are built.
-    ch, cv = (
-        chan @ loss_matrix([min(detected / m, 1.0) for m in means], n_model, chan.shape[1] - 1)
+    (keep_h, lose_h), (keep_v, lose_v) = (
+        _loss_factors([min(detected / m, 1.0) for m in means], n_model, chan.shape[1] - 1)
         for chan, detected in zip(after_loss, (stage1.detected_mean_h, stage1.detected_mean_v))
     )
+    ch, cv = after_loss
     t = _thermal_probs(np.array(means), n_model)[:, :, None]
-    product = (ch @ t) * (cv @ t).transpose(0, 2, 1)
-    ch *= t.transpose(0, 2, 1)
-    return product, ch @ cv.transpose(0, 2, 1) - product
+    marg_h = ch @ (keep_h[..., None] * (lose_h @ t))
+    marg_v = cv @ (keep_v[..., None] * (lose_v @ t))
+    product = marg_h * marg_v.transpose(0, 2, 1)
+    joint = (lose_h * t.transpose(0, 2, 1)) @ lose_v.transpose(0, 2, 1)
+    joint *= keep_h[..., None]
+    joint *= keep_v[:, None, :]
+    return product, ch @ joint @ cv.T - product
 
 
 def _fit_stage2_batch(
@@ -469,6 +482,21 @@ def poisson_resample(counts: CountsMatrix, rng: np.random.Generator) -> CountsMa
     raise ValueError("resampling produced only empty histograms; counts are too sparse")
 
 
+def _draw_resamples(counts: CountsMatrix, n_resamples: int, seed: int) -> tuple[list, float]:
+    """The bootstrap resamples and the standard deviation of their product distance.
+
+    Resample ``r`` is drawn from its own stream ``(seed, r)``, so the draws
+    do not depend on execution order.
+    """
+    resamples = [poisson_resample(counts, _stream_rng(seed, r)) for r in range(n_resamples)]
+    d_samples = [product_distance(singular_spectrum(normalize(x))) for x in resamples]
+    return resamples, float(np.std(d_samples, ddof=1))
+
+
+def _g_spread(fits: list[FitResult]) -> float:
+    return float(np.std([fit.source.correlation for fit in fits], ddof=1))
+
+
 def bootstrap(
     counts: CountsMatrix,
     n_resamples: int = 100,
@@ -485,17 +513,17 @@ def bootstrap(
     counts; without one it is fit here, once. Resamples use
     independent RNG streams derived from ``(seed, resample_index)``, so
     the result does not depend on execution order. A resample whose fit
-    exhausts its budget raises FitConvergenceError.
+    exhausts its budget raises FitConvergenceError. ``fit_counts`` draws
+    the same resamples and fits them in one batch with the counts
+    themselves.
     """
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
     config = config or FitConfig()
     if stage1 is None:
         stage1 = fit_stage1(counts, config)
-    resamples = [poisson_resample(counts, _stream_rng(seed, r)) for r in range(n_resamples)]
-    d_samples = [product_distance(singular_spectrum(normalize(x))) for x in resamples]
-    g_samples = [fit.source.correlation for fit in _fit_stage2_batch(resamples, stage1, config)]
-    return float(np.std(g_samples, ddof=1)), float(np.std(d_samples, ddof=1))
+    resamples, d_err = _draw_resamples(counts, n_resamples, seed)
+    return _g_spread(_fit_stage2_batch(resamples, stage1, config)), d_err
 
 
 def check_n_bootstrap(n_bootstrap: int) -> None:
@@ -512,13 +540,17 @@ def fit_counts(
 ) -> FitResult:
     """Run both stages, then the bootstrap unless ``n_bootstrap`` is 0.
 
-    An ``n_bootstrap`` of 1 or less than 0 is rejected before any fit.
+    With a bootstrap, the counts and their resamples (those of
+    ``bootstrap``) are fitted in one stage-2 batch, the counts as row 0.
+    A batch's rows are bitwise their fits alone, so the fit and its errors
+    are those of ``fit_stage2`` and ``bootstrap``. An ``n_bootstrap`` of 1
+    or less than 0 is rejected before any fit.
     """
     check_n_bootstrap(n_bootstrap)
     config = config or FitConfig()
     stage1 = fit_stage1(counts, config)
-    result = fit_stage2(counts, stage1, config)
-    if n_bootstrap:
-        g_err, d_err = bootstrap(counts, n_bootstrap, seed, config, stage1)
-        result = replace(result, g_error=g_err, distance_error=d_err)
-    return result
+    if not n_bootstrap:
+        return fit_stage2(counts, stage1, config)
+    resamples, d_err = _draw_resamples(counts, n_bootstrap, seed)
+    result, *fits = _fit_stage2_batch([counts, *resamples], stage1, config)
+    return replace(result, g_error=_g_spread(fits), distance_error=d_err)

@@ -21,7 +21,6 @@ from photoncorr import (
     bootstrap,
     fit_stage1,
     fit_stage2,
-    loss_matrix,
     mixture_joint,
     normalize,
     pdc_joint,
@@ -31,6 +30,8 @@ from photoncorr import (
     singular_spectrum,
     thermal_pmf,
 )
+from photoncorr.detector import _log_binom_table
+from photoncorr.distributions import _thermal_probs
 from photoncorr.inference import fit_counts, poisson_resample
 from photoncorr.montecarlo import _stream_rng, total_variation
 
@@ -45,6 +46,11 @@ STAGE1_DET_V = DetectorParams(0.65, 0.14, 0.11)
 def simulate_counts(g, det_h, det_v, shots, seed, n_max, mean=4.1):
     config = SimConfig(SourceParams(mean, g), det_h, det_v, shots, seed, n_max)
     return simulate(config)
+
+
+def detected_marginal(detected_mean, dark, xtalk, n_model, n_out):
+    """A thermal mode with the loss absorbed, then darks and crosstalk."""
+    return after_loss_channel(dark, xtalk, n_model, n_out) @ _thermal_probs(detected_mean, n_model)
 
 
 def poisson_objective(counts, model, target):
@@ -154,7 +160,7 @@ class TestStage1:
 class TestStage1Jacobian:
     @staticmethod
     def _finite_difference(x, k, n_model, n_out):
-        """Derivative of ``_detected_marginal`` in ``x[k]``.
+        """Derivative of ``detected_marginal`` in ``x[k]``.
 
         Central, or second-order forward within a step of 0: darks and
         crosstalk cannot go below the bound where stage 1 starts.
@@ -164,7 +170,7 @@ class TestStage1Jacobian:
         def at(dx):
             y = list(x)
             y[k] += dx
-            return inference._detected_marginal(*y, n_model, n_out)
+            return detected_marginal(*y, n_model, n_out)
 
         if x[k] < step:
             return (4.0 * at(step) - at(2.0 * step) - 3.0 * at(0.0)) / (2.0 * step)
@@ -184,7 +190,7 @@ class TestStage1Jacobian:
         x = [mean, dark, xtalk]
         marginal, jac = inference._detected_marginal_jacobian(*x, n_model, n_out)
         assert jac.shape == (n_out + 1, 3)
-        assert np.array_equal(marginal, inference._detected_marginal(*x, n_model, n_out))
+        assert np.array_equal(marginal, detected_marginal(*x, n_model, n_out))
         for k in range(3):
             np.testing.assert_allclose(
                 jac[:, k], self._finite_difference(x, k, n_model, n_out), rtol=0.0, atol=1e-7
@@ -426,10 +432,83 @@ class TestBootstrap:
         assert fit.g_error is not None and fit.g_error >= 0.0
         assert fit.distance_error is not None and fit.distance_error >= 0.0
 
+    def test_fit_counts_is_its_fit_and_bootstrap(self):
+        # fit_counts fits the counts as row 0 of the bootstrap's batch, and
+        # a row is bitwise its fit alone.
+        counts = self.make_counts()
+        config = FitConfig(n_max=40)
+        stage1 = fit_stage1(counts, config)
+        g_err, d_err = bootstrap(counts, 5, 2, config, stage1)
+        alone = dataclasses.replace(
+            fit_stage2(counts, stage1, config), g_error=g_err, distance_error=d_err
+        )
+        assert fit_counts(counts, config, n_bootstrap=5, seed=2) == alone
+
     def test_fit_counts_carries_stage1(self):
         counts = self.make_counts()
         config = FitConfig(n_max=40)
         assert fit_counts(counts, config).stage1 == fit_stage1(counts, config)
+
+
+def closed_form_loss(eta, n):
+    """The loss matrix entry by entry: ``exp(log C(k, m) + m log eta + (k-m) log(1-eta))``."""
+    if eta == 1.0:
+        return np.eye(n + 1)
+    m = np.arange(n + 1)[:, None]
+    k = np.arange(n + 1)[None, :]
+    return np.exp(_log_binom_table(n + 1) + m * math.log(eta) + (k - m) * math.log1p(-eta))
+
+
+_detected_means = st.one_of(st.just(1e-8), st.floats(min_value=1e-8, max_value=5.0))
+
+
+class TestStage2Terms:
+    """The factored stage-2 terms agree with whole loss matrices, one mean at a time."""
+
+    @staticmethod
+    def oracle(stage1, mean, n_model, after_loss):
+        ch, cv = (
+            chan @ closed_form_loss(min(detected / mean, 1.0), n_model)[: chan.shape[1]]
+            for chan, detected in zip(after_loss, (stage1.detected_mean_h, stage1.detected_mean_v))
+        )
+        t = _thermal_probs(mean, n_model)
+        product = np.outer(ch @ t, cv @ t)
+        return product, (ch * t) @ cv.T - product
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        detected_h=_detected_means,
+        detected_v=st.one_of(st.none(), _detected_means),
+        darks=st.tuples(*[st.floats(min_value=0.0, max_value=5.0)] * 2),
+        xtalks=st.tuples(*[st.floats(min_value=0.0, max_value=0.45)] * 2),
+        n_out=st.integers(min_value=0, max_value=60),
+        fractions=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)), min_size=1, max_size=4
+        ),
+    )
+    def test_match_whole_loss_matrices(
+        self, detected_h, detected_v, darks, xtalks, n_out, fractions
+    ):
+        # Means run from the grid's lower end, where 1 - efficiency is about
+        # 1e-9, to n_model / 3; a detected_v of None is equal to detected_h.
+        # The slope is the correlated term minus the product, which cancels
+        # to rounding noise where the correlation barely shows (at detected
+        # means of 1e-8), so its error is measured against the product.
+        n_model = 60
+        detected_v = detected_h if detected_v is None else detected_v
+        stage1 = Stage1Result(detected_h, detected_v, *darks, *xtalks, 0.0)
+        lo = math.log(max(detected_h, detected_v) * (1.0 + 1e-9))
+        log_means = lo + np.array(fractions) * (math.log(n_model / 3.0) - lo)
+        after_loss = [
+            after_loss_channel(dark, xtalk, n_out, n_out) for dark, xtalk in zip(darks, xtalks)
+        ]
+        product, slope = inference._stage2_terms(stage1, log_means, n_model, after_loss)
+        assert np.all(np.isfinite(product)) and np.all(np.isfinite(slope))
+        for u, got_product, got_slope in zip(log_means, product, slope):
+            want_product, want_slope = self.oracle(stage1, math.exp(u), n_model, after_loss)
+            np.testing.assert_allclose(got_product, want_product, rtol=1e-10, atol=1e-300)
+            error = np.abs(got_slope - want_slope)
+            assert np.all(error <= 1e-10 * (np.abs(want_slope) + np.abs(want_product)) + 1e-300)
 
 
 @functools.lru_cache(maxsize=None)
@@ -461,8 +540,8 @@ class TestStage2Batch:
 
     def test_loss_builds_do_not_grow_with_resamples(self, monkeypatch):
         # A batch makes one pass over the grid, then one pass per step of
-        # its longest-running row, and every pass makes two loss matrices
-        # (one per mode) whatever the number of rows.
+        # its longest-running row, and every pass builds the loss factors
+        # twice (once per mode) whatever the number of rows.
         counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
         config = FitConfig(n_max=40)
         stage1 = fit_stage1(counts, config)
@@ -482,11 +561,12 @@ class TestStage2Batch:
 
         terms = inference._stage2_terms
         monkeypatch.setattr(inference, "_stage2_terms", counting(terms))
-        monkeypatch.setattr(inference, "loss_matrix", counting(loss_matrix))
+        factors = inference._loss_factors
+        monkeypatch.setattr(inference, "_loss_factors", counting(factors))
         for n_resamples in (20, 40):
             resamples = [poisson_resample(counts, _stream_rng(3, r)) for r in range(n_resamples)]
             passes = max(calls_to(terms, fit_stage2, x, stage1, config) - 1 for x in resamples)
-            builds = calls_to(loss_matrix, bootstrap, counts, n_resamples, 3, config, stage1)
+            builds = calls_to(factors, bootstrap, counts, n_resamples, 3, config, stage1)
             assert builds == 2 * (1 + passes), n_resamples
 
     def test_search_takes_few_evaluations(self):
