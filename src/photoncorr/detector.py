@@ -22,10 +22,12 @@ Jacobian needs, are read off the same two matrices
 (``_after_loss_derivatives``).
 
 The kernels are evaluated in closed form from cached read-only tables,
-so the module needs only numpy: the Poisson and crosstalk kernels from
-one table of log-factorials per dimension, and the loss kernel from one
-table of exact binomial coefficients per dimension, times powers of the
-efficiency and of its complement (``_loss_factors``).
+one per law, so the module needs only numpy: the Poisson kernel from a
+table of log-factorials per dimension, and the two binomial-thinning
+kernels, loss and crosstalk, from one table of exact binomial
+coefficients per dimension, times powers of the thinning probability
+and of its complement (``_loss_factors``). Crosstalk is loss at
+efficiency ``crosstalk``, shifted down by the fired cells.
 """
 
 from __future__ import annotations
@@ -64,23 +66,6 @@ class DetectorParams:
 def _log_factorial(dim: int) -> np.ndarray:
     """``log k!`` for ``k = 0 .. dim-1``; read-only, shared by every caller."""
     table = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=32)
-def _log_binom_table(dim: int) -> np.ndarray:
-    """``log C(n, m)`` at ``[m, n]`` for ``0 <= m, n < dim``, ``-inf`` where ``m > n``.
-
-    It depends on neither the efficiency nor the crosstalk, so each
-    dimension is built once; the result is read-only.
-    """
-    log_fact = _log_factorial(dim)
-    m = np.arange(dim)[:, None]
-    n = np.arange(dim)[None, :]
-    table = np.where(
-        m <= n, log_fact[n] - log_fact[m] - log_fact[np.maximum(n - m, 0)], -np.inf
-    )
     table.setflags(write=False)
     return table
 
@@ -167,18 +152,24 @@ def crosstalk_matrix(crosstalk: float, n_in: int, n_out: int | None = None) -> n
     Each of the ``n`` fired cells independently adds one extra count with
     probability ``eps``, so the number of extras is Binomial(n, eps):
     ``entry[m, n] = C(n, m-n) eps^(m-n) (1-eps)^(2n-m)`` for n <= m <= 2n.
+    The extras are the survivors of thinning the fired cells at ``eps``,
+    so ``entry[n+k, n]`` is bitwise ``loss_matrix(eps, N)[k, n]`` for any
+    ``N >= n_in``: the same binomial table and powers, multiplied in the
+    loss kernel's order.
     """
     if not (0.0 <= crosstalk < 1.0):
         raise ValueError(f"crosstalk must be in [0, 1), got {crosstalk}")
     if n_out is None:
         n_out = n_in
-    n = np.arange(n_in + 1)[None, :]
+    n = np.arange(n_in + 1)
     k = np.arange(n_out + 1)[:, None] - n
     if crosstalk == 0.0:
         return np.where(k == 0, 1.0, 0.0)
-    # The table is -inf for k > n; negative k is masked here.
-    log_c = np.where(k >= 0, _log_binom_table(max(n_in, n_out) + 1)[k, n], -np.inf)
-    return np.exp(log_c + k * math.log(crosstalk) + (n - k) * math.log1p(-crosstalk))
+    possible = (k >= 0) & (k <= n)
+    k = np.where(possible, k, 0)
+    keep = np.exp(np.arange(n_out + 1) * math.log(crosstalk))
+    spare = np.exp(np.arange(n_in + 1) * math.log1p(-crosstalk))
+    return np.where(possible, keep[k] * (_binom_table(n_in + 1)[k, n] * spare[n - k]), 0.0)
 
 
 def after_loss_channel(

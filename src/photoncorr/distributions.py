@@ -141,7 +141,7 @@ def _thermal_probs(mean, n_max: int) -> np.ndarray:
     return np.exp(np.arange(n_max + 1) * log_q - log1p)
 
 
-def thermal_pmf(mean: float, n_max: int, tail_tol: float | None = None) -> Marginal:
+def thermal_pmf(mean: float, n_max: int) -> Marginal:
     """Thermal (geometric) photon-number distribution truncated at ``n_max``.
 
     ``P(n) = mean**n / (mean+1)**(n+1)``, the single-mode statistics of a
@@ -150,54 +150,49 @@ def thermal_pmf(mean: float, n_max: int, tail_tol: float | None = None) -> Margi
     Parameters
     ----------
     mean : float
-        Average photon number, >= 0.
+        Average photon number, finite and >= 0.
     n_max : int
         Inclusive truncation; probabilities for n > n_max are folded into
         ``tail_mass``.
-    tail_tol : float, optional
-        If given, raise if the recorded tail exceeds it.
     """
-    if mean < 0.0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
+    if not (0.0 <= mean < math.inf):
+        raise ValueError(f"mean must be finite and >= 0, got {mean}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    tail = _thermal_tail(mean, n_max)
-    if tail_tol is not None and tail > tail_tol:
-        raise ValueError(f"truncation tail {tail:.3e} exceeds tolerance {tail_tol:.3e}")
-    return Marginal(n_max=n_max, probs=_thermal_probs(mean, n_max), tail_mass=tail)
+    probs = _thermal_probs(mean, n_max)
+    return Marginal(n_max=n_max, probs=probs, tail_mass=_thermal_tail(mean, n_max))
 
 
 def pdc_joint(mean: float, n_max: int) -> JointDistribution:
     """Perfectly correlated two-mode distribution: equal photon numbers.
 
-    Diagonal entries carry the thermal law; off-diagonal entries are
-    exactly zero.
+    The g = 1 end of ``mixture_joint``: diagonal entries carry the thermal
+    law; off-diagonal entries are exactly zero.
     """
-    marg = thermal_pmf(mean, n_max)
-    probs = np.zeros((n_max + 1, n_max + 1))
-    np.fill_diagonal(probs, marg.probs)
-    return JointDistribution(n_max=n_max, probs=probs, tail_mass=marg.tail_mass)
+    return mixture_joint(SourceParams(mean, 1.0), n_max)
 
 
 def product_joint(mean: float, n_max: int) -> JointDistribution:
-    """Uncorrelated product of two thermal modes with a common mean."""
-    marg = thermal_pmf(mean, n_max)
-    probs = np.outer(marg.probs, marg.probs)
-    t = marg.tail_mass
-    return JointDistribution(n_max=n_max, probs=probs, tail_mass=2.0 * t - t * t)
+    """Uncorrelated product of two thermal modes with a common mean.
+
+    The g = 0 end of ``mixture_joint``.
+    """
+    return mixture_joint(SourceParams(mean, 0.0), n_max)
 
 
 def mixture_joint(params: SourceParams, n_max: int) -> JointDistribution:
     """Source model: ``g * correlated + (1 - g) * product``, entrywise.
 
-    Both components share the same thermal marginals, so the marginals of
-    the mixture are independent of ``g``.
+    Both components share one thermal marginal ``t`` with tail ``tau``, so
+    the marginals of the mixture are independent of ``g``: the matrix is
+    ``g diag(t) + (1-g) outer(t, t)``, and the tail ``g tau + (1-g)(2 tau
+    - tau^2)``, the probability that either mode of the product overflows.
     """
     g = params.correlation
-    corr = pdc_joint(params.mean_photons, n_max)
-    prod = product_joint(params.mean_photons, n_max)
-    probs = g * corr.probs + (1.0 - g) * prod.probs
-    tail = g * corr.tail_mass + (1.0 - g) * prod.tail_mass
+    marg = thermal_pmf(params.mean_photons, n_max)
+    t, tau = marg.probs, marg.tail_mass
+    probs = g * np.diag(t) + (1.0 - g) * np.outer(t, t)
+    tail = g * tau + (1.0 - g) * (2.0 * tau - tau * tau)
     return JointDistribution(n_max=n_max, probs=probs, tail_mass=tail)
 
 

@@ -20,7 +20,6 @@ from photoncorr import (
     thermal_pmf,
     SourceParams,
 )
-from photoncorr.detector import _log_binom_table
 from photoncorr.montecarlo import detect_count, total_variation
 
 from conftest import PAPER_DET_H, PAPER_DET_V
@@ -148,6 +147,14 @@ class TestComposeChannel:
         assert np.abs(dark_after - dark_before).max() > 1e-4
 
 
+def binom_pmf(trials, k, p):
+    """Binomial(trials, p) at ``k`` through ``gammaln``, 0 outside ``0 <= k <= trials``."""
+    ok = (k >= 0) & (k <= trials)
+    k = np.where(ok, k, 0.0)
+    log_c = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
+    return np.where(ok, np.exp(log_c + k * np.log(p) + (trials - k) * np.log1p(-p)), 0.0)
+
+
 # Output shorter than, equal to and longer than the input.
 SHAPES = [(12, 6), (12, 12), (6, 40)]
 
@@ -169,28 +176,10 @@ class TestKernelsAgainstScipy:
         pmf = np.where(k >= 0, poisson.pmf(np.maximum(k, 0), dark_mean), 0.0)
         np.testing.assert_allclose(chan, pmf, rtol=1e-12, atol=1e-300)
 
-    @pytest.mark.parametrize("dim", [1, 2, 13, 41, 61])
-    def test_log_binom_table_matches_gammaln(self, dim):
-        table = _log_binom_table(dim)
-        m = np.arange(dim)[:, None]
-        n = np.arange(dim)[None, :]
-        ref = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
-        valid = m <= n
-        np.testing.assert_allclose(table[valid], ref[valid], rtol=1e-12, atol=0.0)
-        assert np.all(table[~valid] == -np.inf)
-        assert not table.flags.writeable
-
     @pytest.mark.parametrize("n_in, n_out", SHAPES)
     def test_binomial_kernels_match_gammaln(self, n_in, n_out):
         m = np.arange(n_out + 1, dtype=float)[:, None]
         n = np.arange(n_in + 1, dtype=float)[None, :]
-
-        def binom_pmf(trials, k, p):
-            ok = (k >= 0) & (k <= trials)
-            k = np.where(ok, k, 0.0)
-            log_c = gammaln(trials + 1.0) - gammaln(k + 1.0) - gammaln(trials - k + 1.0)
-            return np.where(ok, np.exp(log_c + k * np.log(p) + (trials - k) * np.log1p(-p)), 0.0)
-
         np.testing.assert_allclose(
             loss_matrix(0.37, n_in), binom_pmf(n, n.T, 0.37), rtol=1e-12, atol=1e-300
         )
@@ -249,6 +238,32 @@ class TestChannelProperties:
             for k in range(m, n + 1):
                 lose[m, k] = float(math.comb(k, m)) * powers[k - m]
         assert np.array_equal(loss_matrix(eta, n), keep[:, None] * lose)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        eps=st.one_of(
+            st.just(1e-300),
+            st.just(1.0 - 1e-12),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ),
+        n_in=st.integers(min_value=0, max_value=60),
+        n_out=st.integers(min_value=0, max_value=60),
+    )
+    def test_crosstalk_is_shifted_loss(self, eps, n_in, n_out):
+        # The extras of n fired cells are the survivors of thinning them at
+        # eps, so column n is loss column n shifted down by n, bitwise.
+        chan = crosstalk_matrix(eps, n_in, n_out)
+        loss = loss_matrix(eps, max(n_in, n_out))
+        shifted = np.zeros_like(chan)
+        for n in range(n_in + 1):
+            rows = min(n, n_out - n) + 1
+            if rows > 0:
+                shifted[n : n + rows, n] = loss[:rows, n]
+        assert np.array_equal(chan, shifted)
+        assert np.all(np.isfinite(chan))
+        m = np.arange(n_out + 1, dtype=float)[:, None]
+        n = np.arange(n_in + 1, dtype=float)[None, :]
+        np.testing.assert_allclose(chan, binom_pmf(n, m - n, eps), rtol=1e-12, atol=1e-300)
 
     @_examples
     @given(n=st.integers(min_value=0, max_value=60))

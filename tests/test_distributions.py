@@ -55,9 +55,11 @@ class TestThermal:
         with pytest.raises(ValueError):
             thermal_pmf(1.0, -1)
 
-    def test_tail_tolerance_enforced(self):
-        with pytest.raises(ValueError):
-            thermal_pmf(4.1, 5, tail_tol=1e-3)
+    @pytest.mark.parametrize("build", [thermal_pmf, pdc_joint, product_joint])
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -0.1])
+    def test_invalid_mean_rejected(self, build, mean):
+        with pytest.raises(ValueError, match="mean"):
+            build(mean, 5)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

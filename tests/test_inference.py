@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 import photoncorr.inference as inference
 from photoncorr import (
@@ -30,7 +31,6 @@ from photoncorr import (
     singular_spectrum,
     thermal_pmf,
 )
-from photoncorr.detector import _log_binom_table
 from photoncorr.distributions import _thermal_probs
 from photoncorr.inference import fit_counts, poisson_resample
 from photoncorr.montecarlo import _stream_rng, total_variation
@@ -454,9 +454,11 @@ def closed_form_loss(eta, n):
     """The loss matrix entry by entry: ``exp(log C(k, m) + m log eta + (k-m) log(1-eta))``."""
     if eta == 1.0:
         return np.eye(n + 1)
-    m = np.arange(n + 1)[:, None]
-    k = np.arange(n + 1)[None, :]
-    return np.exp(_log_binom_table(n + 1) + m * math.log(eta) + (k - m) * math.log1p(-eta))
+    m = np.arange(n + 1.0)[:, None]
+    k = np.arange(n + 1.0)[None, :]
+    log_c = gammaln(k + 1.0) - gammaln(m + 1.0) - gammaln(np.maximum(k - m, 0.0) + 1.0)
+    log_c = np.where(m <= k, log_c, -np.inf)
+    return np.exp(log_c + m * math.log(eta) + (k - m) * math.log1p(-eta))
 
 
 _detected_means = st.one_of(st.just(1e-8), st.floats(min_value=1e-8, max_value=5.0))
