@@ -7,13 +7,12 @@ a thermal state is again thermal, with the mean scaled by the
 efficiency, so stage 1 can only identify the product
 ``efficiency * mean_photons`` (the detected mean); the coincidence
 structure in stage 2 splits it. It is a small smooth nonlinear
-least-squares problem, solved by a bounded trust-region method started
-at the empirical marginal means, with no dark counts or crosstalk. Its
-Jacobian is exact: each column is the outer product of one mode's
-marginal derivative with the other mode's marginal, and the derivatives
-come from the matrices the marginal is built from. Each residual
-evaluation builds the marginals and their derivatives together, and the
-Jacobian at that point reuses them.
+least-squares problem, solved by a bounded Levenberg-Marquardt loop
+started at the empirical marginal means, with no dark counts or
+crosstalk. Its Jacobian is exact: each column is the outer product of
+one mode's marginal derivative with the other mode's marginal, and the
+derivatives come from the matrices the marginal is built from. Each
+evaluation builds the residuals and the Jacobian together.
 
 Stage 2 fits the full joint histogram with the degree of correlation and
 the source mean as the free parameters, holding the detected means,
@@ -38,15 +37,13 @@ Bootstrap uncertainties assume Poissonian counting noise: every cell is
 replaced by an independent Poisson draw centered on the observed count
 and the stage-2 fit and product distance are recomputed per resample.
 
-``scipy.optimize`` is imported inside ``fit_stage1``, so importing the
-package (and running ``simulate`` or ``measure``) loads only numpy, and
-stage 2 never loads it.
+Both stages need numpy only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,7 +68,7 @@ class FitConfig:
     ``n_max`` is the photon-number truncation of the model distribution
     before the detector channel (the histogram's own range sets the
     output truncation). ``max_iterations`` caps each solver run: the
-    stage-1 least-squares steps and the evaluations of each stage-2 mean
+    stage-1 residual evaluations and the evaluations of each stage-2 mean
     search, the grid before it not counted. ``convergence_tol`` is the
     relative tolerance at which the solvers stop: stage 1 when a step
     lowers the objective, or moves the parameters, by less than this
@@ -94,7 +91,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class Stage1Result:
-    """Per-mode detector parameters identifiable from the marginals alone."""
+    """Per-mode detector parameters identifiable from the marginals alone.
+
+    ``evaluations`` is the number of residual evaluations the fit took,
+    and ``at_bound`` names the parameters it held on a bound at the end.
+    """
 
     detected_mean_h: float
     detected_mean_v: float
@@ -103,6 +104,8 @@ class Stage1Result:
     xtalk_h: float
     xtalk_v: float
     residual: float
+    evaluations: int = 0
+    at_bound: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -167,22 +170,70 @@ def _empirical_marginals(counts: CountsMatrix) -> tuple[np.ndarray, np.ndarray]:
     return p.sum(axis=1), p.sum(axis=0)
 
 
+def _levenberg_marquardt(evaluate, x, lower, upper, config: FitConfig):
+    """Minimize ``r @ r`` over the box ``[lower, upper]``, starting at ``x``.
+
+    ``evaluate(x)`` returns the residuals ``r`` and their Jacobian ``J``
+    together. A step solves the damped normal equations
+    ``(JᵀJ + lam diag(JᵀJ)) step = -Jᵀr`` (Marquardt's scaling) in the
+    free parameters and is clipped into the box. A parameter on a bound
+    whose gradient points out of the box is held there for the step.
+    ``lam`` falls tenfold after an accepted step, one that does not raise
+    the objective, and rises tenfold after a rejected one. The loop stops
+    after an accepted step that lowers the objective by at most
+    ``convergence_tol`` relative, or moves ``x`` by at most
+    ``convergence_tol (convergence_tol + |x|)``. Returns ``x``, its
+    objective, the number of evaluations, and the mask of the parameters
+    held on a bound there. Raises FitConvergenceError once
+    ``max_iterations`` evaluations are spent.
+    """
+    tol = config.convergence_tol
+    r, jac = evaluate(x)
+    fval, evaluations, damping, converged = float(r @ r), 1, 1e-3, False
+    while True:
+        grad = jac.T @ r
+        held = ((x <= lower) & (grad > 0.0)) | ((x >= upper) & (grad < 0.0))
+        if converged:
+            return x, fval, evaluations, held
+        if evaluations == config.max_iterations:
+            raise FitConvergenceError(
+                f"stage 1 did not converge within {config.max_iterations} residual evaluations",
+                best=x,
+                objective=fval,
+            )
+        free = ~held
+        normal = jac[:, free].T @ jac[:, free]
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(normal + damping * np.diag(np.diag(normal)), -grad[free])
+        trial = np.clip(x + step, lower, upper)
+        r_trial, jac_trial = evaluate(trial)
+        evaluations += 1
+        f_trial = float(r_trial @ r_trial)
+        if f_trial > fval:
+            damping *= 10.0
+            continue
+        converged = (
+            fval - f_trial <= tol * fval
+            or np.linalg.norm(trial - x) <= tol * (tol + np.linalg.norm(x))
+        )
+        x, r, jac, fval = trial, r_trial, jac_trial, f_trial
+        damping /= 10.0
+
+
 def fit_stage1(
     counts: CountsMatrix, config: FitConfig | None = None, trace: list | None = None
 ) -> Stage1Result:
     """Fit the product of the empirical marginals with the detector model.
 
     Free parameters are, per mode, the detected thermal mean, the dark
-    mean, and the crosstalk probability. They are found by one bounded
-    trust-region least-squares run on the weighted residuals, started at
-    each mode's empirical mean with darks and crosstalk at zero, with the
-    exact Jacobian of the residuals. Raises
-    ValueError for a degenerate histogram (fewer than two occupied bins
-    in a marginal) and FitConvergenceError if the solver exhausts its
-    budget.
+    mean, and the crosstalk probability. They are found by a bounded
+    Levenberg-Marquardt run (``_levenberg_marquardt``) on the weighted
+    residuals and their exact Jacobian, started at each mode's empirical
+    mean with darks and crosstalk at zero. ``trace`` gets the best
+    objective so far after every residual evaluation. Raises ValueError
+    for a degenerate histogram (fewer than two occupied bins in a
+    marginal) and FitConvergenceError if the solver exhausts its budget.
     """
-    from scipy.optimize import least_squares
-
     config = config or FitConfig()
     emp_h, emp_v = _empirical_marginals(counts)
     if np.count_nonzero(emp_h) < 2 or np.count_nonzero(emp_v) < 2:
@@ -193,70 +244,39 @@ def fit_stage1(
     n_model = config.n_max
     best = math.inf
 
-    latest = {}  # the point of the latest residual and its per-mode marginals and derivatives
-
-    def modes(x):
-        return [_detected_marginal_jacobian(*x[mode::2], n_model, n_out) for mode in (0, 1)]
-
-    def residuals(x):
+    def evaluate(x):
         nonlocal best
-        latest.update(x=x.copy(), modes=modes(x))
-        (marg_h, _), (marg_v, _) = latest["modes"]
+        (marg_h, jac_h), (marg_v, jac_v) = (
+            _detected_marginal_jacobian(*x[mode::2], n_model, n_out) for mode in (0, 1)
+        )
         r = (sqrt_w * (np.outer(marg_h, marg_v) - target)).ravel()
         best = min(best, float(r @ r))
         if trace is not None:
             trace.append(best)
-        return r
-
-    def jacobian(x):
-        # least_squares asks for the Jacobian at its latest residual's point,
-        # whose matrices are reused. A parameter of mode h moves the residual
-        # by the outer product of its marginal's derivative with mode v's
-        # marginal, and vice versa.
-        (marg_h, jac_h), (marg_v, jac_v) = (
-            latest["modes"] if np.array_equal(x, latest["x"]) else modes(x)
-        )
+        # A parameter of mode h moves the residual by the outer product of
+        # its marginal's derivative with mode v's marginal, and vice versa.
         columns = np.stack(
             [jac_h[:, None, :] * marg_v[None, :, None], marg_h[:, None, None] * jac_v[None]],
             axis=-1,
         )
         # Columns (N, N, 3, 2) flatten to the parameter order of x.
-        return (sqrt_w[:, :, None, None] * columns).reshape(sqrt_w.size, 6)
+        return r, (sqrt_w[:, :, None, None] * columns).reshape(sqrt_w.size, 6)
 
     mean_h, mean_v = _mean_of(emp_h), _mean_of(emp_v)
     mean_cap = 2.0 * max(mean_h, mean_v) + 1.0
-    # Parameter order: detected means, darks, crosstalks, each (h, v).
+    # Parameter order: detected means, darks, crosstalks, each (h, v), as
+    # the first six fields of Stage1Result.
     lower = np.array([1e-8, 1e-8, 0.0, 0.0, 0.0, 0.0])
     upper = np.array([mean_cap, mean_cap, _DARK_MAX, _DARK_MAX, _XTALK_MAX, _XTALK_MAX])
     x0 = np.array([mean_h, mean_v, 0.0, 0.0, 0.0, 0.0])
-    result = least_squares(
-        residuals,
-        np.clip(x0, lower, upper),
-        bounds=(lower, upper),
-        jac=jacobian,
-        x_scale="jac",
-        ftol=config.convergence_tol,
-        xtol=config.convergence_tol,
-        # The gradient test is absolute, and the objective's scale is set by
-        # the number of shots; it would stop at the start.
-        gtol=None,
-        max_nfev=config.max_iterations,
+    x, fval, evaluations, held = _levenberg_marquardt(
+        evaluate, np.clip(x0, lower, upper), lower, upper, config
     )
-    x, fval = result.x, float(result.fun @ result.fun)
-    if result.status == 0:
-        raise FitConvergenceError(
-            f"stage 1 did not converge within {config.max_iterations} least-squares steps",
-            best=x,
-            objective=fval,
-        )
     return Stage1Result(
-        detected_mean_h=float(x[0]),
-        detected_mean_v=float(x[1]),
-        dark_h=float(x[2]),
-        dark_v=float(x[3]),
-        xtalk_h=float(x[4]),
-        xtalk_v=float(x[5]),
+        *(float(v) for v in x),
         residual=fval,
+        evaluations=evaluations,
+        at_bound=tuple(f.name for f, h in zip(fields(Stage1Result), held) if h),
     )
 
 

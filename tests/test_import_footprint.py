@@ -1,10 +1,9 @@
 """Which modules the package loads, checked in fresh interpreters, which
 names it exports, and that every import in it is used.
 
-``import photoncorr.cli`` pulls in the whole package, so it must load
-numpy only: ``scipy.optimize`` is imported by ``fit_stage1`` when it
-first runs, stage 2 never loads it, and nothing uses ``scipy.stats`` or
-``scipy.special``.
+The package needs numpy only: no code path, from ``import photoncorr.cli``
+through ``simulate`` and ``fit --bootstrap``, imports any scipy module,
+and both commands run with scipy unimportable.
 """
 
 import ast
@@ -17,7 +16,8 @@ import sys
 import photoncorr
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(photoncorr.__file__)))
-SCIPY_MODULES = ("scipy.stats", "scipy.special", "scipy.optimize")
+# The code a fresh interpreter runs to list the scipy modules it has loaded.
+LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
 
 
 def _run(code: str):
@@ -38,27 +38,48 @@ def test_cli_import_loads_no_scipy_submodule():
     loaded = _run(
         "import json, sys\n"
         "import photoncorr.cli\n"
-        f"print(json.dumps([m for m in {SCIPY_MODULES!r} if m in sys.modules]))\n"
+        f"print(json.dumps({LOADED_SCIPY}))\n"
     )
     assert loaded == []
 
 
-def test_fit_stage1_imports_optimizer_on_first_use():
-    result = _run(
-        "import json, sys\n"
-        "from photoncorr import DetectorParams, FitConfig, SimConfig, SourceParams\n"
-        "from photoncorr import fit_stage1, simulate\n"
-        "det = DetectorParams(efficiency=0.7, dark_mean=0.02, crosstalk=0.05)\n"
-        "counts = simulate(SimConfig(SourceParams(1.0, 0.5), det, det,\n"
-        "                            shots=20000, seed=3, n_max=10))\n"
-        "before = 'scipy.optimize' in sys.modules\n"
-        "stage1 = fit_stage1(counts, FitConfig(n_max=20))\n"
-        "print(json.dumps([before, 'scipy.optimize' in sys.modules,\n"
-        "                  stage1.detected_mean_h, stage1.residual]))\n"
+def _simulate_then_fit(tmp_path, prelude: str = "") -> str:
+    """Code that runs ``simulate``, then ``fit --bootstrap 10``, through
+    ``cli.main`` on a small config, after ``prelude``, and prints both
+    exit codes and the scipy modules loaded, as JSON."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "source": {"mean_photons": 1.0, "correlation": 0.5},
+        "detector_h": {"efficiency": 0.7, "dark_mean": 0.02, "crosstalk": 0.05},
+        "detector_v": {"efficiency": 0.65, "dark_mean": 0.03, "crosstalk": 0.04},
+        "shots": 20000, "seed": 3, "n_max": 10, "fit": {"n_max": 20},
+    }))
+    sim, fit = str(tmp_path / "sim"), str(tmp_path / "fit")
+    counts = os.path.join(sim, "counts.csv")
+    return (
+        "import contextlib, io, json, sys\n"
+        f"{prelude}"
+        "from photoncorr.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['simulate', '--config', {str(config)!r}, '--out', {sim!r}]),\n"
+        f"             main(['fit', {counts!r}, '--config', {str(config)!r},\n"
+        f"                   '--bootstrap', '10', '--out', {fit!r}])]\n"
+        f"print(json.dumps([codes, {LOADED_SCIPY}]))\n"
     )
-    before, after, detected_mean_h, residual = result
-    assert not before and after
-    assert 0.0 < detected_mean_h < 5.0 and residual >= 0.0
+
+
+def test_simulate_and_fit_load_no_scipy_module(tmp_path):
+    codes, loaded = _run(_simulate_then_fit(tmp_path))
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+def test_simulate_and_fit_run_with_scipy_blocked(tmp_path):
+    # A None entry in sys.modules makes every import of scipy, or of any
+    # of its submodules, raise ImportError.
+    codes, loaded = _run(_simulate_then_fit(tmp_path, "sys.modules['scipy'] = None\n"))
+    assert codes == [0, 0]
+    assert loaded == ["scipy"]
 
 
 def test_fit_stage2_loads_no_scipy_submodule():
@@ -71,8 +92,7 @@ def test_fit_stage2_loads_no_scipy_submodule():
         "                            shots=20000, seed=3, n_max=10))\n"
         "stage1 = Stage1Result(0.7, 0.7, 0.02, 0.02, 0.05, 0.05, 0.0)\n"
         "fit = fit_stage2(counts, stage1, FitConfig(n_max=20))\n"
-        f"print(json.dumps([[m for m in {SCIPY_MODULES!r} if m in sys.modules],\n"
-        "                  fit.source.correlation]))\n"
+        f"print(json.dumps([{LOADED_SCIPY}, fit.source.correlation]))\n"
     )
     loaded, g = result
     assert loaded == []

@@ -1,10 +1,11 @@
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import gammaln
 
 import photoncorr.inference as inference
@@ -195,6 +196,117 @@ class TestStage1Jacobian:
             np.testing.assert_allclose(
                 jac[:, k], self._finite_difference(x, k, n_model, n_out), rtol=0.0, atol=1e-7
             )
+
+
+def _bench_seed(seed):
+    """The simulate seed of the fit-bootstrap benchmark workload at ``seed``."""
+    digest = hashlib.sha256(f"{seed}/fit-bootstrap.simulate".encode()).hexdigest()
+    return int(digest[:12], 16)
+
+
+# (det_h, det_v, g, simulate seed, n_out, fit n_max): the fit-bootstrap
+# benchmark's inputs at six seeds, and criterion 4's three inputs.
+SOLVER_INPUTS = {
+    **{f"bench-{seed}": (PAPER_DET_H, PAPER_DET_V, 0.5, _bench_seed(seed), 12, 40)
+       for seed in (1, 2, 3, 7, 29, 41)},
+    **{f"fit-601-g{g}": (FIT_DET_H, FIT_DET_V, g, 601, 34, 60) for g in (0.06, 0.23, 0.47)},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _solver_input(name):
+    det_h, det_v, g, seed, n_out, n_model = SOLVER_INPUTS[name]
+    return simulate_counts(g, det_h, det_v, 10 ** 6, seed, n_out), FitConfig(n_max=n_model)
+
+
+def _least_squares(evaluate, x, lower, upper, config):
+    """``_levenberg_marquardt`` done by scipy's bounded trust-region solver."""
+    from scipy.optimize import least_squares
+
+    result = least_squares(
+        lambda x: evaluate(x)[0], x, jac=lambda x: evaluate(x)[1], bounds=(lower, upper),
+        x_scale="jac", ftol=config.convergence_tol, xtol=config.convergence_tol, gtol=None,
+        max_nfev=config.max_iterations,
+    )
+    assert result.status > 0
+    return result.x, float(result.fun @ result.fun), result.nfev, np.zeros(x.size, dtype=bool)
+
+
+STAGE1_PARAMETERS = ("detected_mean_h", "detected_mean_v", "dark_h", "dark_v", "xtalk_h", "xtalk_v")
+
+
+class TestStage1Solver:
+    @pytest.mark.parametrize("name", list(SOLVER_INPUTS))
+    def test_matches_least_squares(self, name, monkeypatch):
+        counts, config = _solver_input(name)
+        trace = []
+        s1 = fit_stage1(counts, config, trace=trace)
+        monkeypatch.setattr(inference, "_levenberg_marquardt", _least_squares)
+        reference = fit_stage1(counts, config)
+        for key in STAGE1_PARAMETERS:
+            got, want = getattr(s1, key), getattr(reference, key)
+            if key in s1.at_bound:
+                assert got == 0.0 and abs(want) <= 1e-9, key
+            else:
+                assert got == pytest.approx(want, rel=1e-6), key
+        assert s1.residual == pytest.approx(reference.residual, rel=1e-12)
+        assert s1.evaluations == len(trace) <= 30
+
+    def test_reports_dark_count_on_bound(self):
+        # At criterion 4's g = 0.06 input, the best dark mean of mode h is
+        # below 0, against a truth of 0.02.
+        counts, config = _solver_input("fit-601-g0.06")
+        s1 = fit_stage1(counts, config)
+        assert s1.at_bound == ("dark_h",)
+        assert s1.dark_h == 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        efficiencies=st.tuples(*[st.floats(min_value=0.05, max_value=1.0)] * 2),
+        darks=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 0.5))] * 2),
+        xtalks=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 0.3))] * 2),
+        mean=st.floats(min_value=0.2, max_value=3.0),
+        g=st.floats(min_value=0.0, max_value=1.0),
+        shots=st.integers(min_value=2_000, max_value=200_000),
+        n_out=st.integers(min_value=4, max_value=14),
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    def test_stationary_in_the_box(self, efficiencies, darks, xtalks, mean, g, shots, n_out, seed):
+        # The result lies in the box and is not above the start. The
+        # gradient of every parameter off the bounds is zero, and that of a
+        # parameter on a bound points out of the box, or is zero: its
+        # cosine with the residual vector is at rounding level. ``at_bound``
+        # names the parameters on a bound whose gradient points outward.
+        det_h, det_v = (DetectorParams(*p) for p in zip(efficiencies, darks, xtalks))
+        probs = apply_two_mode(mixture_joint(SourceParams(mean, g), 30), det_h, det_v, n_out).probs
+        drawn = np.random.default_rng(seed).multinomial(
+            shots, np.append(probs.ravel(), max(1.0 - probs.sum(), 0.0))
+        )
+        counts = CountsMatrix(n_out, drawn[:-1].reshape(probs.shape), shots, int(drawn[-1]))
+        emp = counts.counts / counts.shots
+        assume(min(np.count_nonzero(emp.sum(axis=1)), np.count_nonzero(emp.sum(axis=0))) >= 2)
+
+        solve, seen = inference._levenberg_marquardt, {}
+
+        def solve_and_keep(evaluate, x, lower, upper, config):
+            seen.update(evaluate=evaluate, lower=lower, upper=upper)
+            return solve(evaluate, x, lower, upper, config)
+
+        trace = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_levenberg_marquardt", solve_and_keep)
+            s1 = fit_stage1(counts, FitConfig(n_max=30), trace=trace)
+        x = np.array([getattr(s1, key) for key in STAGE1_PARAMETERS])
+        lower, upper = seen["lower"], seen["upper"]
+        assert ((lower <= x) & (x <= upper)).all()
+        assert s1.residual == trace[-1] <= trace[0]
+        r, jac = seen["evaluate"](x)
+        cosine = (jac.T @ r) / (np.linalg.norm(jac, axis=0) * np.linalg.norm(r))
+        on_lower, on_upper = x == lower, x == upper
+        assert (cosine[on_lower] >= -1e-6).all() and (cosine[on_upper] <= 1e-6).all()
+        assert np.abs(cosine[~(on_lower | on_upper)]).max(initial=0.0) <= 1e-6
+        outward = (on_lower & (cosine > 0.0)) | (on_upper & (cosine < 0.0))
+        assert s1.at_bound == tuple(key for key, b in zip(STAGE1_PARAMETERS, outward) if b)
 
 
 class TestStage2:

@@ -232,7 +232,7 @@ class TestFitCommand:
         }
         assert set(result["stage1"]) == {
             "detected_mean_h", "detected_mean_v", "dark_h", "dark_v", "xtalk_h", "xtalk_v",
-            "residual",
+            "residual", "evaluations", "at_bound",
         }
         for key in ("detector_h", "detector_v"):
             assert set(result[key]) == {"efficiency", "dark_mean", "crosstalk"}
