@@ -15,8 +15,10 @@ Memory: inside a chunk every random draw is made in blocks of
 ``_BLOCK_SHOTS`` shots, one full pass over the blocks per kind of draw,
 so the stream order is the one a single whole-chunk call would give.
 numpy draws element by element, so the numbers are the same too. A chunk
-holds only two int64 photon-number buffers and one bool mask, about 17
-bytes per shot, which keeps a worker per available CPU cheap.
+holds only two int32 photon-number buffers and one bool mask, about 9
+bytes per shot, which keeps a worker per available CPU cheap; its
+histogram is summed block by block, since one ``np.bincount`` of a whole
+int32 buffer would make an int64 copy of it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,18 @@ from .detector import DetectorParams
 
 _CHUNK_SHOTS = 1 << 20
 _BLOCK_SHOTS = 1 << 16
+# Largest source mean and dark mean, so the int32 buffers never wrap. With
+# means <= 2^20 a thermal number reaches 2^29 with probability about
+# e^-512 (a Poisson dark count far less), and a detected count is at most
+# 2 * (photons + darks), which then stays below 2^31.
+_MAX_MEAN = float(1 << 20)
+
+
+def _check_mean(name: str, value: float) -> None:
+    if value > _MAX_MEAN:
+        raise ValueError(
+            f"{name} must be <= 2**20 for the Monte Carlo's int32 counts, got {value}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +81,14 @@ class CountsMatrix:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full configuration of one simulated acquisition."""
+    """Full configuration of one simulated acquisition.
+
+    ``source.mean_photons`` and each detector's ``dark_mean`` are at most
+    ``2**20``: the Monte Carlo holds photon numbers and counts as int32,
+    and above that limit a count could wrap. For the same reason the
+    histogram's cell index, below ``(n_max + 2)**2``, bounds ``n_max`` by
+    46338.
+    """
 
     source: SourceParams
     det_h: DetectorParams
@@ -81,6 +102,11 @@ class SimConfig:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
+        if (self.n_max + 2) ** 2 > 2 ** 31:
+            raise ValueError(f"n_max must be <= 46338 for int32 cell indices, got {self.n_max}")
+        _check_mean("mean_photons", self.source.mean_photons)
+        _check_mean("det_h.dark_mean", self.det_h.dark_mean)
+        _check_mean("det_v.dark_mean", self.det_v.dark_mean)
 
 
 def _thermal_draw(mean: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -106,12 +132,14 @@ def sample_pair(
     (identical thermal numbers in both modes), otherwise the two modes
     are independent thermal draws. The draws come in this order: all
     component choices, all shared numbers, all of mode h's own numbers,
-    then all of mode v's.
+    then all of mode v's. Returns two int32 arrays; the source mean must
+    be at most ``2**20`` so that they cannot wrap.
     """
     mean = source.mean_photons
+    _check_mean("mean_photons", mean)
     correlated = np.empty(size, dtype=bool)
-    n_h = np.empty(size, dtype=np.int64)
-    n_v = np.empty(size, dtype=np.int64)
+    n_h = np.empty(size, dtype=np.int32)
+    n_v = np.empty(size, dtype=np.int32)
     for b, n in _blocks(size):
         correlated[b] = rng.random(n) < source.correlation
     # n_v holds the shared numbers until mode v's own draws replace them.
@@ -125,7 +153,7 @@ def sample_pair(
 
 
 def _detect_in_place(m: np.ndarray, params: DetectorParams, rng: np.random.Generator) -> None:
-    """Overwrite the 1-D int64 buffer ``m`` of photon numbers with detected counts.
+    """Overwrite the 1-D integer buffer ``m`` of photon numbers with detected counts.
 
     Loss, then darks, then crosstalk, each one full pass over the blocks.
     """
@@ -168,7 +196,10 @@ def _simulate_chunk(config: SimConfig, index: int, shots: int) -> tuple[np.ndarr
     np.minimum(m_v, side - 1, out=m_v)
     m_h *= side
     m_h += m_v
-    counts = np.bincount(m_h, minlength=side * side).reshape(side, side)[:-1, :-1]
+    flat = np.zeros(side * side, dtype=np.int64)
+    for b, _ in _blocks(shots):
+        flat += np.bincount(m_h[b], minlength=side * side)
+    counts = flat.reshape(side, side)[:-1, :-1]
     return counts, shots - int(counts.sum())
 
 

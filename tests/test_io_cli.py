@@ -156,6 +156,13 @@ class TestSimulateCommand:
         )
         assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
 
+    def test_mean_above_int32_limit_exit_code(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json",
+                              source={"mean_photons": 2e6, "correlation": 0.5})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "mean_photons" in err
+
     def test_missing_config_file_exit_code(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["simulate", "--config", missing, "--out", str(tmp_path)]) == 4

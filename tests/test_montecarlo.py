@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from photoncorr import (
@@ -36,6 +37,10 @@ class TestSamplePair:
     def test_vacuum_source(self, rng):
         n_h, n_v = sample_pair(SourceParams(0.0, 0.0), rng, size=1000)
         assert not n_h.any() and not n_v.any()
+
+    def test_returns_int32(self, rng):
+        n_h, n_v = sample_pair(SourceParams(2.0, 0.5), rng, size=10)
+        assert n_h.dtype == n_v.dtype == np.int32
 
     def test_histogram_matches_mixture(self, rng):
         # Empirical pair histogram against the analytic mixture law.
@@ -130,6 +135,10 @@ class TestBlockwiseChunk:
         pytest.param(SourceParams(2.0, 0.3), DetectorParams(1.0, 0.0, 0.1),
                      DetectorParams(0.6, 0.2, 0.0), 10, id="unit-efficiency-no-darks"),
         pytest.param(SourceParams(PAPER_MEAN, 0.5), PAPER_DET_H, PAPER_DET_V, 0, id="n_max0"),
+        # The largest allowed mean: the largest photon numbers the int32
+        # buffers are built for.
+        pytest.param(SourceParams(2 ** 20, 0.5), PAPER_DET_H, PAPER_DET_V, 12,
+                     id="int32-limit"),
     ])
     def test_equals_reference_at_edge_parameters(self, source, det_h, det_v, n_max):
         shots = 2 * _BLOCK_SHOTS + 17
@@ -139,8 +148,31 @@ class TestBlockwiseChunk:
         assert np.array_equal(counts, ref_counts)
         assert overflow == ref_overflow
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        mean=st.floats(0.0, 50.0),
+        g=st.floats(0.0, 1.0),
+        efficiency=st.tuples(*[st.floats(0.0, 1.0, exclude_min=True)] * 2),
+        dark=st.tuples(*[st.floats(0.0, 2.0)] * 2),
+        crosstalk=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 2),
+        n_max=st.integers(0, 20),
+        shots=st.integers(1, 2 * _BLOCK_SHOTS + 3),
+        seed=st.integers(0, 2 ** 32),
+        index=st.integers(0, 3),
+    )
+    def test_random_stream_equals_reference(self, mean, g, efficiency, dark, crosstalk,
+                                            n_max, shots, seed, index):
+        # The stream contract: block-wise draws into int32 buffers give the
+        # histogram of whole-chunk int64 draws, bit for bit.
+        det_h, det_v = (DetectorParams(*p) for p in zip(efficiency, dark, crosstalk))
+        config = SimConfig(SourceParams(mean, g), det_h, det_v, shots, seed, n_max)
+        counts, overflow = _simulate_chunk(config, index, shots)
+        ref_counts, ref_overflow = _reference_chunk(config, index, shots)
+        assert np.array_equal(counts, ref_counts)
+        assert overflow == ref_overflow
+
     def test_working_set_of_full_chunk(self):
-        # About 17 bytes per shot: two int64 buffers and one bool mask.
+        # About 9 bytes per shot: two int32 buffers and one bool mask.
         # This bound is what makes one worker per available CPU safe.
         config = SimConfig(SourceParams(PAPER_MEAN, 0.5), PAPER_DET_H, PAPER_DET_V,
                            _CHUNK_SHOTS, 1, 12)
@@ -150,7 +182,36 @@ class TestBlockwiseChunk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2 ** 20
+        assert peak <= 12 * 2 ** 20
+
+
+class TestInt32Limit:
+    # Means up to 2**20 keep every photon number and count inside int32.
+    def config(self, mean=1.0, dark_h=0.1, dark_v=0.1, n_max=12):
+        return SimConfig(SourceParams(mean, 0.5), DetectorParams(0.5, dark_h, 0.0),
+                         DetectorParams(0.5, dark_v, 0.0), 100, 1, n_max)
+
+    def test_limit_accepted(self):
+        config = self.config(mean=2 ** 20, dark_h=2 ** 20, dark_v=2 ** 20)
+        assert config.source.mean_photons == 2 ** 20
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("mean_photons", dict(mean=2 ** 20 + 1)),
+        ("det_h.dark_mean", dict(dark_h=2 ** 20 + 1)),
+        ("det_v.dark_mean", dict(dark_v=2 ** 20 + 1)),
+    ])
+    def test_above_limit_rejected_by_name(self, key, overrides):
+        with pytest.raises(ValueError, match=key):
+            self.config(**overrides)
+
+    def test_sample_pair_rejects_mean_above_limit(self, rng):
+        with pytest.raises(ValueError, match="mean_photons"):
+            sample_pair(SourceParams(2 ** 20 + 1, 0.5), rng, size=10)
+
+    def test_cell_index_bounds_n_max(self):
+        assert self.config(n_max=46338).n_max == 46338
+        with pytest.raises(ValueError, match="n_max"):
+            self.config(n_max=46339)
 
 
 class TestSimulate:
