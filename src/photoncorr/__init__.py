@@ -12,11 +12,8 @@ from .distributions import (
     Marginal,
     Moments,
     SourceParams,
-    marginal,
     mixture_joint,
     moments,
-    pdc_joint,
-    product_joint,
     thermal_pmf,
 )
 from .detector import (
@@ -30,9 +27,7 @@ from .detector import (
 )
 from .measures import (
     CorrelationReport,
-    RatioMatrix,
     SingularSpectrum,
-    closest_product,
     coincidence_ratio,
     correlation_report,
     heralded_efficiency,
@@ -67,7 +62,6 @@ __all__ = [
     "JointDistribution",
     "Marginal",
     "Moments",
-    "RatioMatrix",
     "SimConfig",
     "SingularSpectrum",
     "SourceParams",
@@ -75,7 +69,6 @@ __all__ = [
     "after_loss_channel",
     "apply_two_mode",
     "bootstrap",
-    "closest_product",
     "coincidence_ratio",
     "compose_channel",
     "correlation_report",
@@ -88,14 +81,11 @@ __all__ = [
     "heralded_efficiency",
     "lee_criterion",
     "loss_matrix",
-    "marginal",
     "mean_interior_ratio",
     "mixture_joint",
     "moments",
     "normalize",
-    "pdc_joint",
     "product_distance",
-    "product_joint",
     "ratio_matrix",
     "reconstruct",
     "sample_pair",

@@ -189,9 +189,14 @@ def cmd_measure(args) -> int:
     report = correlation_report(normalize(counts))
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
+    record = dataclasses.asdict(report)
+    # JSON has no NaN: with no defined cell in both modes' interior, the
+    # ratio is undefined and written as null.
+    if np.isnan(record["mean_interior_ratio"]):
+        record["mean_interior_ratio"] = None
     write_json(
         {
-            **dataclasses.asdict(report),
+            **record,
             "n_max": counts.n_max,
             "shots": counts.shots,
             "manifest": "measure_manifest.json",

@@ -153,9 +153,10 @@ def crosstalk_matrix(crosstalk: float, n_in: int, n_out: int | None = None) -> n
     probability ``eps``, so the number of extras is Binomial(n, eps):
     ``entry[m, n] = C(n, m-n) eps^(m-n) (1-eps)^(2n-m)`` for n <= m <= 2n.
     The extras are the survivors of thinning the fired cells at ``eps``,
-    so ``entry[n+k, n]`` is bitwise ``loss_matrix(eps, N)[k, n]`` for any
-    ``N >= n_in``: the same binomial table and powers, multiplied in the
-    loss kernel's order.
+    so the matrix is the loss kernel shifted down by the fired cells:
+    ``entry[n+k, n] = loss_matrix(eps, N)[k, n]``, with ``N = max(n_in,
+    n_out)``. The size is fixed because numpy's ``exp`` of an array can
+    differ in the last bit with the array's length.
     """
     if not (0.0 <= crosstalk < 1.0):
         raise ValueError(f"crosstalk must be in [0, 1), got {crosstalk}")
@@ -165,11 +166,8 @@ def crosstalk_matrix(crosstalk: float, n_in: int, n_out: int | None = None) -> n
     k = np.arange(n_out + 1)[:, None] - n
     if crosstalk == 0.0:
         return np.where(k == 0, 1.0, 0.0)
-    possible = (k >= 0) & (k <= n)
-    k = np.where(possible, k, 0)
-    keep = np.exp(np.arange(n_out + 1) * math.log(crosstalk))
-    spare = np.exp(np.arange(n_in + 1) * math.log1p(-crosstalk))
-    return np.where(possible, keep[k] * (_binom_table(n_in + 1)[k, n] * spare[n - k]), 0.0)
+    thinned = loss_matrix(crosstalk, max(n_in, n_out))
+    return np.where(k >= 0, thinned[np.maximum(k, 0), n], 0.0)
 
 
 def after_loss_channel(

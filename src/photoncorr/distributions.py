@@ -61,10 +61,6 @@ class Marginal:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "tail_mass", float(self.tail_mass))
 
-    @property
-    def mean(self) -> float:
-        return float(np.arange(self.n_max + 1) @ self.probs)
-
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
@@ -88,19 +84,6 @@ class JointDistribution:
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "tail_mass", float(self.tail_mass))
-
-    @property
-    def has_negative_entries(self) -> bool:
-        """True if any entry is negative (possible for rank-1 approximations)."""
-        return bool((self.probs < 0.0).any())
-
-    def validate(self, atol: float = 1e-12) -> None:
-        """Check nonnegativity and normalization; raise ValueError on failure."""
-        if self.has_negative_entries:
-            raise ValueError("negative probability entries")
-        total = float(self.probs.sum()) + self.tail_mass
-        if abs(total - 1.0) > atol:
-            raise ValueError(f"probabilities + tail_mass sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -163,23 +146,6 @@ def thermal_pmf(mean: float, n_max: int) -> Marginal:
     return Marginal(n_max=n_max, probs=probs, tail_mass=_thermal_tail(mean, n_max))
 
 
-def pdc_joint(mean: float, n_max: int) -> JointDistribution:
-    """Perfectly correlated two-mode distribution: equal photon numbers.
-
-    The g = 1 end of ``mixture_joint``: diagonal entries carry the thermal
-    law; off-diagonal entries are exactly zero.
-    """
-    return mixture_joint(SourceParams(mean, 1.0), n_max)
-
-
-def product_joint(mean: float, n_max: int) -> JointDistribution:
-    """Uncorrelated product of two thermal modes with a common mean.
-
-    The g = 0 end of ``mixture_joint``.
-    """
-    return mixture_joint(SourceParams(mean, 0.0), n_max)
-
-
 def mixture_joint(params: SourceParams, n_max: int) -> JointDistribution:
     """Source model: ``g * correlated + (1 - g) * product``, entrywise.
 
@@ -194,21 +160,6 @@ def mixture_joint(params: SourceParams, n_max: int) -> JointDistribution:
     probs = g * np.diag(t) + (1.0 - g) * np.outer(t, t)
     tail = g * tau + (1.0 - g) * (2.0 * tau - tau * tau)
     return JointDistribution(n_max=n_max, probs=probs, tail_mass=tail)
-
-
-def marginal(joint: JointDistribution, mode: str) -> Marginal:
-    """Single-mode marginal of a joint distribution.
-
-    ``mode`` is ``"H"`` (sum over the vertical index) or ``"V"``. The
-    joint's truncated mass is propagated unchanged.
-    """
-    if mode == MODE_H:
-        probs = joint.probs.sum(axis=1)
-    elif mode == MODE_V:
-        probs = joint.probs.sum(axis=0)
-    else:
-        raise ValueError(f"mode must be 'H' or 'V', got {mode!r}")
-    return Marginal(n_max=joint.n_max, probs=probs, tail_mass=joint.tail_mass)
 
 
 def moments(joint: JointDistribution) -> Moments:

@@ -22,7 +22,6 @@ from .montecarlo import CountsMatrix
 _COUNTS_HEADER = re.compile(
     r"#\s*n_max=(\d+)\s+shots=(\d+)\s+overflow=(\d+)\s*$"
 )
-_DIST_HEADER = re.compile(r"#\s*n_max=(\d+)\s+tail_mass=(\S+)\s*$")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -51,29 +50,18 @@ def write_counts(counts: CountsMatrix, path: str) -> None:
     atomic_write_text(path, counts_to_text(counts))
 
 
-def _read_matrix(path: str, kind: str, header: re.Pattern, layout: str, parse):
-    """The header match and the ``(n_max+1)²`` parsed values of a matrix file.
-
-    ``header`` must capture ``n_max`` as its first group.
-    """
+def read_counts(path: str) -> CountsMatrix:
     with open(path) as handle:
         lines = [line.strip() for line in handle if line.strip()]
     if not lines:
-        raise ValueError(f"{path}: empty {kind} file")
-    match = header.match(lines[0])
+        raise ValueError(f"{path}: empty counts file")
+    match = _COUNTS_HEADER.match(lines[0])
     if match is None:
-        raise ValueError(f"{path}: missing '{layout}' header")
-    n_max = int(match.group(1))
-    rows = [[parse(v) for v in line.split(",")] for line in lines[1:]]
+        raise ValueError(f"{path}: missing '# n_max=.. shots=.. overflow=..' header")
+    n_max, shots, overflow = (int(x) for x in match.groups())
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
     if len(rows) != n_max + 1 or any(len(r) != n_max + 1 for r in rows):
         raise ValueError(f"{path}: expected {n_max + 1} rows of {n_max + 1} values")
-    return match, rows
-
-
-def read_counts(path: str) -> CountsMatrix:
-    match, rows = _read_matrix(
-        path, "counts", _COUNTS_HEADER, "# n_max=.. shots=.. overflow=..", int)
-    n_max, shots, overflow = (int(x) for x in match.groups())
     return CountsMatrix(
         n_max=n_max, counts=np.array(rows, dtype=np.int64), shots=shots, overflow=overflow
     )
@@ -88,14 +76,6 @@ def distribution_to_text(dist: JointDistribution) -> str:
 
 def write_distribution(dist: JointDistribution, path: str) -> None:
     atomic_write_text(path, distribution_to_text(dist))
-
-
-def read_distribution(path: str) -> JointDistribution:
-    match, rows = _read_matrix(
-        path, "distribution", _DIST_HEADER, "# n_max=.. tail_mass=..", float)
-    return JointDistribution(
-        n_max=int(match.group(1)), probs=np.array(rows), tail_mass=float(match.group(2))
-    )
 
 
 @dataclass(frozen=True)
@@ -128,22 +108,5 @@ def sum_difference_to_text(rows: list[SumDifferenceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_sum_difference(path: str) -> list[SumDifferenceRow]:
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines or lines[0] != "S,D,value":
-        raise ValueError(f"{path}: missing 'S,D,value' header")
-    rows = []
-    for line in lines[1:]:
-        s, d, v = line.split(",")
-        rows.append(SumDifferenceRow(int(s), int(d), float(v)))
-    return rows
-
-
 def write_json(obj: dict, path: str) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")

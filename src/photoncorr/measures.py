@@ -29,28 +29,6 @@ from .distributions import (
 
 
 @dataclass(frozen=True, eq=False)
-class RatioMatrix:
-    """Entrywise ratio of a joint distribution to the product of its marginals.
-
-    Cells whose denominator vanishes are undefined and stored as NaN;
-    they are never infinite because a zero marginal forces a zero joint
-    entry in the same row or column.
-    """
-
-    n_max: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def defined_mask(self) -> np.ndarray:
-        return ~np.isnan(self.values)
-
-
-@dataclass(frozen=True, eq=False)
 class SingularSpectrum:
     """Singular values of a probability matrix, normalized so sum(s_i^2) = 1."""
 
@@ -77,14 +55,16 @@ class CorrelationReport:
     singular_values: tuple[float, ...]
 
 
-def ratio_matrix(joint: JointDistribution) -> RatioMatrix:
+def ratio_matrix(joint: JointDistribution) -> np.ndarray:
     """Joint probabilities divided by the product of the marginals.
 
     The matrix is first conditioned on the truncated grid (divided by its
     total), which makes the ratio independent of overall normalization:
     unnormalized model outputs and count histograms give the same result,
     and an exact product matrix gives 1 on every defined cell regardless
-    of truncation.
+    of truncation. Cells whose denominator vanishes are undefined and hold
+    NaN; none is infinite, because a zero marginal forces a zero joint
+    entry in the same row or column.
     """
     total = float(joint.probs.sum())
     if total <= 0.0:
@@ -94,16 +74,20 @@ def ratio_matrix(joint: JointDistribution) -> RatioMatrix:
     p_v = probs.sum(axis=0)
     den = np.outer(p_h, p_v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(den > 0.0, probs / np.where(den > 0.0, den, 1.0), np.nan)
-    return RatioMatrix(n_max=joint.n_max, values=values)
+        return np.where(den > 0.0, probs / np.where(den > 0.0, den, 1.0), np.nan)
 
 
-def mean_interior_ratio(ratio: RatioMatrix) -> float:
+def mean_interior_ratio(ratio: np.ndarray) -> float:
     """Average ratio over defined cells with at least one photon in each mode.
 
-    The unweighted arithmetic mean; NaN if no such cell is defined.
+    The unweighted arithmetic mean of ``ratio_matrix``'s interior; NaN if
+    no such cell is defined. On a count histogram a defined cell can still
+    be empty, and it enters the mean as 0. On one 10^6-shot acquisition at
+    efficiencies of about 0.01, about 20 of the 40 defined cells are empty,
+    and the mean cannot tell g = 0 from g = 1. On a model distribution no
+    cell is empty by chance, and the definition is kept as it is there.
     """
-    interior = ratio.values[1:, 1:]
+    interior = ratio[1:, 1:]
     mask = ~np.isnan(interior)
     if not mask.any():
         return float("nan")
@@ -128,20 +112,6 @@ def product_distance(spectrum: SingularSpectrum) -> float:
     """
     tail = spectrum.values[1:]
     return float(np.sqrt((tail * tail).sum()))
-
-
-def closest_product(joint: JointDistribution) -> JointDistribution:
-    """Best rank-1 Frobenius approximation of the joint matrix.
-
-    The dominant singular triple gives the closest product matrix. The
-    result can contain small negative entries; these are returned as-is
-    (check ``has_negative_entries``), never clipped.
-    """
-    u, s, vt = np.linalg.svd(joint.probs)
-    rank1 = s[0] * np.outer(u[:, 0], vt[0])
-    return JointDistribution(
-        n_max=joint.n_max, probs=rank1, tail_mass=1.0 - float(rank1.sum())
-    )
 
 
 def lee_criterion(m: Moments) -> tuple[bool, float]:

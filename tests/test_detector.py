@@ -15,8 +15,6 @@ from photoncorr import (
     dark_matrix,
     loss_matrix,
     mixture_joint,
-    pdc_joint,
-    product_joint,
     thermal_pmf,
     SourceParams,
 )
@@ -351,12 +349,16 @@ class TestApplyTwoMode:
         np.testing.assert_array_equal(out.probs, joint.probs)
 
     def test_product_structure_preserved(self):
-        out = apply_two_mode(product_joint(4.1, 40), PAPER_DET_H, PAPER_DET_V, n_out=12)
+        out = apply_two_mode(
+            mixture_joint(SourceParams(4.1, 0.0), 40), PAPER_DET_H, PAPER_DET_V, n_out=12
+        )
         s = np.linalg.svd(out.probs, compute_uv=False)
         assert s[1] / s[0] < 1e-10
 
     def test_correlated_input_gains_off_diagonal_mass(self):
-        out = apply_two_mode(pdc_joint(4.1, 40), PAPER_DET_H, PAPER_DET_V, n_out=12)
+        out = apply_two_mode(
+            mixture_joint(SourceParams(4.1, 1.0), 40), PAPER_DET_H, PAPER_DET_V, n_out=12
+        )
         off_diag = out.probs[~np.eye(13, dtype=bool)]
         assert off_diag.sum() > 0.01
         # Zero-photon events dominate every other cell.

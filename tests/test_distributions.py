@@ -7,11 +7,8 @@ from hypothesis import given, settings, strategies as st
 from photoncorr import (
     JointDistribution,
     SourceParams,
-    marginal,
     mixture_joint,
     moments,
-    pdc_joint,
-    product_joint,
     thermal_pmf,
 )
 
@@ -55,7 +52,11 @@ class TestThermal:
         with pytest.raises(ValueError):
             thermal_pmf(1.0, -1)
 
-    @pytest.mark.parametrize("build", [thermal_pmf, pdc_joint, product_joint])
+    @pytest.mark.parametrize("build", [
+        thermal_pmf,
+        pytest.param(lambda m, n: mixture_joint(SourceParams(m, 1.0), n), id="pdc_joint"),
+        pytest.param(lambda m, n: mixture_joint(SourceParams(m, 0.0), n), id="product_joint"),
+    ])
     @pytest.mark.parametrize("mean", [math.nan, math.inf, -0.1])
     def test_invalid_mean_rejected(self, build, mean):
         with pytest.raises(ValueError, match="mean"):
@@ -85,53 +86,53 @@ class TestThermal:
 
 class TestPdcJoint:
     def test_vacuum(self):
-        joint = pdc_joint(0.0, 3)
+        joint = mixture_joint(SourceParams(0.0, 1.0), 3)
         assert joint.probs[0, 0] == 1.0
         assert joint.probs.sum() == 1.0
 
     def test_mean_one_diagonal(self):
-        joint = pdc_joint(1.0, 2)
+        joint = mixture_joint(SourceParams(1.0, 1.0), 2)
         np.testing.assert_allclose(np.diag(joint.probs), [0.5, 0.25, 0.125])
 
     def test_off_diagonal_bitwise_zero(self):
-        joint = pdc_joint(4.1, 20)
+        joint = mixture_joint(SourceParams(4.1, 1.0), 20)
         off = joint.probs[~np.eye(21, dtype=bool)]
         assert np.all(off == 0.0)
 
     def test_marginals_match_thermal(self):
         # Row/column summation oracle against the closed-form law.
-        joint = pdc_joint(4.1, 40)
+        joint = mixture_joint(SourceParams(4.1, 1.0), 40)
         thermal = thermal_pmf(4.1, 40)
         row_sums = [sum(joint.probs[i, j] for j in range(41)) for i in range(41)]
         col_sums = [sum(joint.probs[i, j] for i in range(41)) for j in range(41)]
         np.testing.assert_allclose(row_sums, thermal.probs, atol=1e-14)
         np.testing.assert_allclose(col_sums, thermal.probs, atol=1e-14)
-        np.testing.assert_allclose(marginal(joint, "H").probs, thermal.probs, atol=1e-14)
-        np.testing.assert_allclose(marginal(joint, "V").probs, thermal.probs, atol=1e-14)
+        np.testing.assert_allclose(joint.probs.sum(axis=1), thermal.probs, atol=1e-14)
+        np.testing.assert_allclose(joint.probs.sum(axis=0), thermal.probs, atol=1e-14)
 
 
 class TestProductJoint:
     def test_vacuum(self):
-        assert product_joint(0.0, 3).probs[0, 0] == 1.0
+        assert mixture_joint(SourceParams(0.0, 0.0), 3).probs[0, 0] == 1.0
 
     def test_cell_value(self):
-        joint = product_joint(1.0, 2)
+        joint = mixture_joint(SourceParams(1.0, 0.0), 2)
         assert joint.probs[1, 2] == pytest.approx(0.25 * 0.125, abs=1e-15)
 
     def test_rank_one(self):
-        s = np.linalg.svd(product_joint(4.1, 40).probs, compute_uv=False)
+        s = np.linalg.svd(mixture_joint(SourceParams(4.1, 0.0), 40).probs, compute_uv=False)
         assert s[1] < 1e-12
 
 
 class TestMixtureJoint:
     def test_endpoints(self):
-        pdc = pdc_joint(1.0, 8)
-        prod = product_joint(1.0, 8)
+        # g = 1 is the correlated diagonal and g = 0 the thermal product, bitwise.
+        t = thermal_pmf(1.0, 8).probs
         np.testing.assert_array_equal(
-            mixture_joint(SourceParams(1.0, 1.0), 8).probs, pdc.probs
+            mixture_joint(SourceParams(1.0, 1.0), 8).probs, np.diag(t)
         )
         np.testing.assert_array_equal(
-            mixture_joint(SourceParams(1.0, 0.0), 8).probs, prod.probs
+            mixture_joint(SourceParams(1.0, 0.0), 8).probs, np.outer(t, t)
         )
 
     def test_off_diagonal_cell(self):
@@ -163,8 +164,8 @@ class TestMixtureJoint:
         # truncation tail is itself below the tolerance.
         joint = mixture_joint(SourceParams(mean, g), n_max)
         thermal = thermal_pmf(mean, n_max)
-        np.testing.assert_allclose(marginal(joint, "H").probs, thermal.probs, atol=1e-12)
-        np.testing.assert_allclose(marginal(joint, "V").probs, thermal.probs, atol=1e-12)
+        np.testing.assert_allclose(joint.probs.sum(axis=1), thermal.probs, atol=1e-12)
+        np.testing.assert_allclose(joint.probs.sum(axis=0), thermal.probs, atol=1e-12)
 
     @pytest.mark.parametrize("g", [0.0, 0.25, 0.75, 1.0])
     @pytest.mark.parametrize("mean", [0.5, 4.1])
@@ -173,33 +174,18 @@ class TestMixtureJoint:
         assert joint.probs.sum() + joint.tail_mass == pytest.approx(1.0, abs=1e-12)
 
 
-class TestMarginal:
-    def test_delta_matrix(self):
-        probs = np.zeros((5, 5))
-        probs[2, 3] = 1.0
-        joint = JointDistribution(n_max=4, probs=probs)
-        h = marginal(joint, "H")
-        v = marginal(joint, "V")
-        assert np.array_equal(h.probs, [0, 0, 1, 0, 0])
-        assert np.array_equal(v.probs, [0, 0, 0, 1, 0])
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            marginal(pdc_joint(1.0, 3), "X")
-
-
 class TestMoments:
     def test_pdc_cross_approaches_thermal_second_moment(self):
         # Brute-force summation oracle at n_max=200; for a thermal mean
         # of 1 the second moment is 2<n>^2 + <n> = 3.
-        joint = pdc_joint(1.0, 200)
+        joint = mixture_joint(SourceParams(1.0, 1.0), 200)
         oracle = brute_moments(joint.probs)
         m = moments(joint)
         assert m.cross == pytest.approx(oracle[2], abs=1e-12)
         assert m.cross == pytest.approx(3.0, abs=1e-9)
 
     def test_product_cross_is_mean_squared(self):
-        joint = product_joint(1.0, 200)
+        joint = mixture_joint(SourceParams(1.0, 0.0), 200)
         oracle = brute_moments(joint.probs)
         m = moments(joint)
         assert m.cross == pytest.approx(oracle[2], abs=1e-12)
@@ -227,16 +213,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             JointDistribution(n_max=3, probs=np.zeros((2, 2)))
 
-    def test_validate_rejects_negative(self):
-        probs = np.full((3, 3), 1.0 / 9.0)
-        probs[0, 0] = -0.01
-        probs[2, 2] += 0.01
-        dist = JointDistribution(n_max=2, probs=probs)
-        assert dist.has_negative_entries
-        with pytest.raises(ValueError):
-            dist.validate()
-
     def test_probs_are_read_only(self):
-        joint = pdc_joint(1.0, 4)
+        joint = mixture_joint(SourceParams(1.0, 1.0), 4)
         with pytest.raises(ValueError):
             joint.probs[0, 0] = 0.5

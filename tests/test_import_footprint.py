@@ -1,5 +1,6 @@
 """Which modules the package loads, checked in fresh interpreters, which
-names it exports, and that every import in it is used.
+names it exports, that every public name has a caller, and that every
+import in it is used.
 
 The package needs numpy only: no code path, from ``import photoncorr.cli``
 through ``simulate`` and ``fit --bootstrap``, imports any scipy module,
@@ -140,3 +141,50 @@ def test_every_module_import_is_used():
         if names:
             unused[os.path.basename(path)] = names
     assert unused == {}
+
+
+# Public names that stay without a caller in the package, the bench or the
+# acceptance criteria, each with its reason.
+UNCALLED_ON_PURPOSE = {
+    # The event-level detection reference that tests/test_detector.py
+    # compares the composed channel against.
+    "detect_count",
+}
+
+
+def _reads(tree) -> set[str]:
+    """Every name the tree reads, as a ``Name`` or as an ``Attribute``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # A public function or class counts as called when the package reads it
+    # outside its own definition, or the bench or the acceptance criteria
+    # read it. Unit tests alone do not keep a name in the package.
+    root = os.path.dirname(SRC)
+    callers = [os.path.join(root, "tests", "test_acceptance.py")]
+    callers += glob.glob(os.path.join(root, "bench", "*.py"))
+    read = set()
+    for path in callers:
+        with open(path) as handle:
+            read |= _reads(ast.parse(handle.read()))
+    defined = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "photoncorr", "*.py"))):
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        for node in tree.body:
+            names = _reads(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if not node.name.startswith("_"):
+                    defined[node.name] = os.path.basename(path)
+            read |= names
+    uncalled = sorted(f"{module}:{name}" for name, module in defined.items()
+                      if name not in read and name not in UNCALLED_ON_PURPOSE)
+    assert uncalled == [], uncalled

@@ -25,7 +25,6 @@ from photoncorr import (
     fit_stage2,
     mixture_joint,
     normalize,
-    pdc_joint,
     product_distance,
     reconstruct,
     simulate,

@@ -10,16 +10,24 @@ from photoncorr import CountsMatrix, JointDistribution, SourceParams, SimConfig,
 from photoncorr.cli import main
 from photoncorr.io import (
     read_counts,
-    read_distribution,
-    read_json,
-    read_sum_difference,
     sum_difference_to_text,
     sum_difference_view,
     write_counts,
     write_distribution,
+    write_json,
 )
 
 from conftest import PAPER_DET_H, PAPER_DET_V
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def read_json(path):
+    """A JSON output, parsed strictly: ``NaN`` and ``Infinity`` are not JSON."""
+    with open(path) as handle:
+        return json.load(handle, parse_constant=_not_json)
 
 
 def write_config(path, **overrides):
@@ -68,9 +76,18 @@ class TestDistributionFile:
         dist = JointDistribution(n_max=4, probs=probs, tail_mass=1 - probs.sum())
         path = tmp_path / "dist.csv"
         write_distribution(dist, str(path))
-        loaded = read_distribution(str(path))
-        assert np.array_equal(loaded.probs, dist.probs)
-        assert loaded.tail_mass == dist.tail_mass
+        header = path.read_text().splitlines()[0]
+        assert header == f"# n_max=4 tail_mass={dist.tail_mass!r}"
+        assert np.array_equal(np.loadtxt(path, delimiter=","), dist.probs)
+
+
+class TestJsonFile:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json({"value": value}, str(path))
+        assert not path.exists()
 
 
 class TestSumDifferenceView:
@@ -94,7 +111,9 @@ class TestSumDifferenceView:
         rows = sum_difference_view(matrix)
         path = tmp_path / "sd.csv"
         path.write_text(sum_difference_to_text(rows))
-        assert read_sum_difference(str(path)) == rows
+        assert path.read_text().splitlines()[0] == "S,D,value"
+        expected = [[r.total, r.difference, r.value] for r in rows]
+        assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), expected)
 
     def test_ordering(self, rng):
         matrix = rng.random((6, 6))
@@ -120,7 +139,7 @@ class TestSimulateCommand:
             )
         )
         assert np.array_equal(loaded.counts, direct.counts)
-        manifest = read_json(str(out / "simulate_manifest.json"))
+        manifest = read_json(out / "simulate_manifest.json")
         assert manifest["command"] == "simulate"
         assert str(out / "counts.csv") in manifest["outputs"]
         assert manifest["seed"] == 13
@@ -172,7 +191,7 @@ class TestSimulateCommand:
         config = write_config(tmp_path / "config.json")
         first, second = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", config, "--out", str(first)]) == 0
-        resolved = read_json(str(first / "simulate_manifest.json"))["config"]
+        resolved = read_json(first / "simulate_manifest.json")["config"]
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps(resolved))
         assert main(["simulate", "--config", str(replay), "--out", str(second)]) == 0
@@ -190,7 +209,7 @@ class TestMeasureCommand:
         write_counts(matrix, str(path))
         out = tmp_path / "meas"
         assert main(["measure", str(path), "--out", str(out)]) == 0
-        report = read_json(str(out / "report.json"))
+        report = read_json(out / "report.json")
         assert report["product_distance"] < 1e-6
         assert report["mean_interior_ratio"] == pytest.approx(1.0, abs=1e-9)
         assert set(report) == {
@@ -208,9 +227,17 @@ class TestMeasureCommand:
         write_counts(matrix, str(path))
         out = tmp_path / "meas"
         assert main(["measure", str(path), "--out", str(out)]) == 0
-        rows = read_sum_difference(str(out / "sum_difference.csv"))
-        assert len(rows) == 1
-        assert (rows[0].total, rows[0].difference) == (3, 1)
+        rows = np.loadtxt(out / "sum_difference.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows.tolist() == [[3, 1, 10.0]]
+
+    def test_undefined_ratio_is_null(self, tmp_path):
+        # Every count in column 0: no cell with a count in both modes has a
+        # nonzero product of marginals, so the interior ratio is undefined.
+        path = tmp_path / "counts.csv"
+        path.write_text("# n_max=2 shots=10 overflow=0\n5,0,0\n3,0,0\n2,0,0\n")
+        out = tmp_path / "meas"
+        assert main(["measure", str(path), "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["mean_interior_ratio"] is None
 
     def test_missing_counts_exit_code(self, tmp_path):
         assert main(["measure", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 4
@@ -229,7 +256,7 @@ class TestFitCommand:
         code = main(["fit", counts_path, "--config", config, "--out", str(out),
                      "--bootstrap", "3", "--seed", "5", "--reconstruct", "20"])
         assert code == 0
-        result = read_json(str(out / "fit.json"))
+        result = read_json(out / "fit.json")
         assert 0.0 <= result["correlation"] <= 1.0
         assert result["g_error"] >= 0.0
         assert result["distance_error"] >= 0.0
@@ -243,9 +270,10 @@ class TestFitCommand:
         }
         for key in ("detector_h", "detector_v"):
             assert set(result[key]) == {"efficiency", "dark_mean", "crosstalk"}
-        recon = read_distribution(str(out / "reconstruction.csv"))
-        assert recon.n_max == 20
-        manifest = read_json(str(out / "fit_manifest.json"))
+        recon = out / "reconstruction.csv"
+        assert recon.read_text().startswith("# n_max=20 tail_mass=")
+        assert np.loadtxt(recon, delimiter=",").shape == (21, 21)
+        manifest = read_json(out / "fit_manifest.json")
         assert manifest["command"] == "fit"
         assert set(manifest["config"]["fit"]) == {
             "max_iterations", "convergence_tol", "n_max",
@@ -257,7 +285,7 @@ class TestFitCommand:
         first, second = tmp_path / "a", tmp_path / "b"
         flags = ["--bootstrap", "3", "--seed", "5"]
         assert main(["fit", counts_path, "--config", config, "--out", str(first)] + flags) == 0
-        resolved = read_json(str(first / "fit_manifest.json"))["config"]["fit"]
+        resolved = read_json(first / "fit_manifest.json")["config"]["fit"]
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps({"fit": resolved}))
         assert main(["fit", counts_path, "--config", str(replay), "--out", str(second)]

@@ -9,7 +9,6 @@ from photoncorr import (
     JointDistribution,
     SourceParams,
     apply_two_mode,
-    closest_product,
     coincidence_ratio,
     correlation_report,
     heralded_efficiency,
@@ -17,9 +16,7 @@ from photoncorr import (
     mean_interior_ratio,
     mixture_joint,
     moments,
-    pdc_joint,
     product_distance,
-    product_joint,
     ratio_matrix,
     singular_spectrum,
 )
@@ -35,31 +32,31 @@ def forward(g, n_max=12):
 class TestRatioMatrix:
     def test_product_gives_unity_everywhere(self):
         # Holds for any truncation: the ratio conditions on the grid.
-        ratio = ratio_matrix(product_joint(1.0, 4))
-        defined = ratio.values[ratio.defined_mask]
+        ratio = ratio_matrix(mixture_joint(SourceParams(1.0, 0.0), 4))
+        defined = ratio[~np.isnan(ratio)]
         np.testing.assert_allclose(defined, 1.0, atol=1e-12)
 
     def test_correlated_cell_value(self):
         # P(1,1)/P(1)^2 = 0.25/0.0625 for an ideal correlated pair source
         # of mean 1 (negligible tail).
-        ratio = ratio_matrix(pdc_joint(1.0, 80))
-        assert ratio.values[1, 1] == pytest.approx(4.0, rel=1e-9)
+        ratio = ratio_matrix(mixture_joint(SourceParams(1.0, 1.0), 80))
+        assert ratio[1, 1] == pytest.approx(4.0, rel=1e-9)
 
     def test_off_diagonal_zero(self):
-        ratio = ratio_matrix(pdc_joint(1.0, 80))
-        assert ratio.values[1, 2] == 0.0
+        ratio = ratio_matrix(mixture_joint(SourceParams(1.0, 1.0), 80))
+        assert ratio[1, 2] == 0.0
 
     def test_no_infinities(self):
         probs = np.zeros((4, 4))
         probs[0, 0] = 1.0
         ratio = ratio_matrix(JointDistribution(n_max=3, probs=probs))
-        defined = ratio.values[ratio.defined_mask]
+        defined = ratio[~np.isnan(ratio)]
         assert np.all(np.isfinite(defined))
 
 
 class TestMeanInteriorRatio:
     def test_product_is_one(self):
-        ratio = ratio_matrix(product_joint(4.1, 12))
+        ratio = ratio_matrix(mixture_joint(SourceParams(4.1, 0.0), 12))
         assert mean_interior_ratio(ratio) == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_correlation(self):
@@ -76,7 +73,7 @@ class TestMeanInteriorRatio:
 
 class TestSingularSpectrum:
     def test_rank_one_spectrum(self):
-        s = singular_spectrum(product_joint(4.1, 20))
+        s = singular_spectrum(mixture_joint(SourceParams(4.1, 0.0), 20))
         assert s.values[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(s.values[1:] < 1e-12)
 
@@ -105,7 +102,8 @@ class TestSingularSpectrum:
 
 class TestProductDistance:
     def test_product_is_zero(self):
-        assert product_distance(singular_spectrum(product_joint(4.1, 20))) < 1e-12
+        joint = mixture_joint(SourceParams(4.1, 0.0), 20)
+        assert product_distance(singular_spectrum(joint)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 5, 11])
     def test_uniform_diagonal(self, n):
@@ -119,61 +117,32 @@ class TestProductDistance:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_zero_iff_second_singular_value_vanishes(self):
-        s_prod = singular_spectrum(product_joint(1.0, 10))
+        s_prod = singular_spectrum(mixture_joint(SourceParams(1.0, 0.0), 10))
         assert s_prod.values[1] < 1e-12
         assert product_distance(s_prod) < 1e-12
         s_corr = singular_spectrum(forward(1.0))
         assert s_corr.values[1] > 1e-12
         assert product_distance(s_corr) > 1e-12
 
-
-class TestClosestProduct:
-    def test_product_maps_to_itself(self):
-        joint = product_joint(1.0, 12)
-        approx = closest_product(joint)
-        np.testing.assert_allclose(approx.probs, joint.probs, atol=1e-10)
-
     def test_eckart_young_identity(self):
+        # The dominant singular triple is the closest product matrix in the
+        # Frobenius norm, and the distance is its normalized residual.
         joint = forward(0.8)
-        approx = closest_product(joint)
-        norm = np.linalg.norm(joint.probs)
-        residual = np.linalg.norm(joint.probs - approx.probs) / norm
-        assert residual == pytest.approx(
+        u, s, vt = np.linalg.svd(joint.probs)
+        residual = np.linalg.norm(joint.probs - s[0] * np.outer(u[:, 0], vt[0]))
+        assert residual / np.linalg.norm(joint.probs) == pytest.approx(
             product_distance(singular_spectrum(joint)), abs=1e-12
         )
-
-    def test_matches_direct_svd(self):
-        joint = pdc_joint(1.0, 10)
-        u, s, vt = np.linalg.svd(joint.probs)
-        expected = s[0] * np.outer(u[:, 0], vt[0])
-        np.testing.assert_allclose(closest_product(joint).probs, expected, atol=1e-14)
-
-    def test_entries_not_clipped(self):
-        # The rank-1 matrix is returned exactly as the SVD produces it;
-        # nothing is clamped to zero (the flag reports any negatives,
-        # which for nonnegative inputs can only be rounding noise).
-        probs = np.array([[0.5, 0.0, 0.1], [0.0, 0.3, 0.0], [0.1, 0.0, 0.0]])
-        probs /= probs.sum()
-        joint = JointDistribution(n_max=2, probs=probs)
-        u, s, vt = np.linalg.svd(joint.probs)
-        np.testing.assert_array_equal(
-            closest_product(joint).probs, s[0] * np.outer(u[:, 0], vt[0])
-        )
-
-    def test_negative_flag_reports(self):
-        probs = np.full((2, 2), 0.25)
-        probs[0, 1] = -1e-15
-        assert JointDistribution(n_max=1, probs=probs).has_negative_entries
 
 
 class TestLeeCriterion:
     def test_thermal_product_is_classical(self):
-        nonclassical, witness = lee_criterion(moments(product_joint(1.0, 200)))
+        nonclassical, witness = lee_criterion(moments(mixture_joint(SourceParams(1.0, 0.0), 200)))
         assert not nonclassical
         assert witness == pytest.approx(-3.0, abs=1e-8)
 
     def test_ideal_correlated_is_nonclassical(self):
-        nonclassical, witness = lee_criterion(moments(pdc_joint(1.0, 200)))
+        nonclassical, witness = lee_criterion(moments(mixture_joint(SourceParams(1.0, 1.0), 200)))
         assert nonclassical
         assert witness == pytest.approx(5.0, abs=1e-7)
 
