@@ -78,7 +78,7 @@ def _binom_table(dim: int) -> np.ndarray:
     return table
 
 
-def _loss_factors(efficiencies, n: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+def _loss_factors(efficiencies, n: int, n_out: int, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``0 .. n_out`` (``n_out <= n``) of the loss matrix on ``0 .. n``, as two factors.
 
     The matrix of efficiency ``eta`` is ``keep[:, None] * lose``, with
@@ -88,14 +88,17 @@ def _loss_factors(efficiencies, n: int, n_out: int) -> tuple[np.ndarray, np.ndar
     efficiency costs ``n_out + n + 1`` exps. Every factor but ``C`` is at
     most 1, so nothing overflows, even where ``1-eta`` is tiny. The
     factors of a sequence of efficiencies are stacked along a leading
-    axis, each bitwise those of the efficiency alone.
+    axis, each bitwise those of the efficiency alone. ``lose`` is written
+    to the leading rows of ``out`` if one is given, so a caller that
+    builds factors pass after pass reuses one array.
     """
-    if not all(0.0 < eta <= 1.0 for eta in efficiencies):
+    etas = np.asarray(efficiencies, dtype=float).tolist()
+    if not all(0.0 < eta <= 1.0 for eta in etas):
         raise ValueError(f"efficiency must be in (0, 1], got {efficiencies}")
     # Scalar logs, as in the closed form (numpy's can differ in the last
     # bit). At efficiency 1 every power of 1-eta past the 0th is exp(-inf) = 0.
-    log_keep = np.array([math.log(eta) for eta in efficiencies])[:, None]
-    log_lose = np.array([math.log1p(-eta) if eta < 1.0 else -math.inf for eta in efficiencies])
+    log_keep = np.array([math.log(eta) for eta in etas])[:, None]
+    log_lose = np.array([math.log1p(-eta) if eta < 1.0 else -math.inf for eta in etas])
     keep = np.exp(np.arange(n_out + 1) * log_keep)
     # n_out zeros, then (1-eta)^j for j = 0 .. n. Row m of the view starts
     # m places before the 0th power.
@@ -106,7 +109,8 @@ def _loss_factors(efficiencies, n: int, n_out: int) -> tuple[np.ndarray, np.ndar
     toeplitz = np.lib.stride_tricks.as_strided(
         powers[:, n_out:], (len(efficiencies), n_out + 1, n + 1), (powers.strides[0], -step, step)
     )
-    return keep, _binom_table(n + 1)[: n_out + 1] * toeplitz
+    lose = None if out is None else out[: len(etas)]
+    return keep, np.multiply(_binom_table(n + 1)[: n_out + 1], toeplitz, out=lose)
 
 
 def loss_matrix(efficiency: float, n: int) -> np.ndarray:

@@ -118,9 +118,9 @@ def _thermal_probs(mean, n_max: int) -> np.ndarray:
         probs = np.zeros(n_max + 1)
         probs[0] = 1.0
         return probs
-    shape = np.shape(mean) + (1,)
-    log1p = np.reshape([math.log1p(x) for x in np.ravel(mean)], shape)
-    log_q = np.reshape([math.log(x) for x in np.ravel(mean)], shape) - log1p
+    shape, means = np.shape(mean) + (1,), np.ravel(mean).tolist()
+    log1p = np.reshape([math.log1p(x) for x in means], shape)
+    log_q = np.reshape([math.log(x) for x in means], shape) - log1p
     return np.exp(np.arange(n_max + 1) * log_q - log1p)
 
 

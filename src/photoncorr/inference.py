@@ -28,14 +28,20 @@ histogram, so many histograms with one stage 1 are fitted in one batch:
 each step of the search builds the terms at the points of all of them
 in one vectorised pass. Each mode's loss matrix enters the terms as its
 two factors (``detector._loss_factors``), so a pass takes O(n) exps per
-point and mode, not one per loss-matrix entry. ``fit_counts`` with a
-bootstrap fits the counts and all the resamples in one batch, the counts
-as row 0; a single fit is the batch of one. A batch's rows are bitwise
-their fits alone, and nothing is memoised between fits.
+point and mode, not one per loss-matrix entry. A batch is arrays from
+end to end: it takes the histograms stacked into one ``(rows, n, n)``
+array with their shots, keeps each search's state as arrays over the
+running searches, and returns the best ``(objective, g, log mean)`` of
+every row as one array. ``fit_counts`` with a bootstrap fits the counts
+and all the resamples in one batch, the counts as row 0, and only that
+row becomes a ``FitResult``; a single fit is the batch of one. A batch's
+rows are bitwise their fits alone, and nothing is memoised between fits.
 
 Bootstrap uncertainties assume Poissonian counting noise: every cell is
 replaced by an independent Poisson draw centered on the observed count
 and the stage-2 fit and product distance are recomputed per resample.
+The resamples are drawn into one stacked array, and their product
+distances come from one batched SVD.
 
 Both stages need numpy only.
 """
@@ -49,8 +55,7 @@ import numpy as np
 
 from .detector import DetectorParams, _after_loss_derivatives, _loss_factors, after_loss_channel
 from .distributions import JointDistribution, SourceParams, _thermal_probs, mixture_joint
-from .measures import product_distance, singular_spectrum
-from .montecarlo import CountsMatrix, _stream_rng, normalize
+from .montecarlo import CountsMatrix, _stream_rng
 
 _DARK_MAX = 5.0
 _XTALK_MAX = 0.45
@@ -130,18 +135,23 @@ class FitConvergenceError(RuntimeError):
 
     ``best`` carries the best parameter estimate reached so far (the six
     stage-1 parameters, or ``(g, mean)`` for stage 2), so a caller can
-    inspect it.
+    inspect it. A stage-2 error names the batch row whose search ran out
+    in ``row``: 0 for the counts, ``k`` for resample ``k``; stage 1 has
+    none.
     """
 
-    def __init__(self, message: str, best=None, objective: float | None = None):
+    def __init__(
+        self, message: str, best=None, objective: float | None = None, row: int | None = None
+    ):
         super().__init__(message)
         self.best = best
         self.objective = objective
+        self.row = row
 
 
-def _weights(counts: CountsMatrix) -> np.ndarray:
+def _weights(counts: np.ndarray) -> np.ndarray:
     # Inverse observed counts (Neyman's chi-squared); empty cells weigh 1.
-    return 1.0 / np.maximum(counts.counts, 1)
+    return 1.0 / np.maximum(counts, 1)
 
 
 def _detected_marginal_jacobian(
@@ -239,7 +249,7 @@ def fit_stage1(
     if np.count_nonzero(emp_h) < 2 or np.count_nonzero(emp_v) < 2:
         raise ValueError("marginal with fewer than 2 occupied bins cannot constrain the fit")
     target = np.outer(emp_h, emp_v)
-    sqrt_w = np.sqrt(_weights(counts))
+    sqrt_w = np.sqrt(_weights(counts.counts))
     n_out = counts.n_max
     n_model = config.n_max
     best = math.inf
@@ -291,7 +301,7 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the share of the larger segment a gold
 
 
 def _stage2_terms(
-    stage1: Stage1Result, log_means: np.ndarray, n_model: int, after_loss
+    stage1: Stage1Result, log_means: np.ndarray, n_model: int, after_loss, lose=(None, None)
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stage-2 model at each mean is ``product + g * slope``, stacked.
 
@@ -302,66 +312,99 @@ def _stage2_terms(
     correlated term is ``C_h diag(keep_h) (lose_h diag(t) lose_v.T)
     diag(keep_v) C_v.T``, with ``C`` the after-loss channels. Every
     product is a per-row stacked matmul, so each row is bitwise the same
-    as in a batch of one.
+    as in a batch of one. ``lose`` holds each mode's array for its loss
+    factor (``_loss_factors``' ``out``), which the terms overwrite.
     """
-    means = [math.exp(u) for u in log_means]
+    means = np.array([math.exp(u) for u in log_means.tolist()])
     # The after-loss channels have zero columns past the output range, so
     # only that many rows of each loss matrix are built.
     (keep_h, lose_h), (keep_v, lose_v) = (
-        _loss_factors([min(detected / m, 1.0) for m in means], n_model, chan.shape[1] - 1)
-        for chan, detected in zip(after_loss, (stage1.detected_mean_h, stage1.detected_mean_v))
+        _loss_factors(np.minimum(detected / means, 1.0), n_model, chan.shape[1] - 1, out)
+        for chan, detected, out in zip(
+            after_loss, (stage1.detected_mean_h, stage1.detected_mean_v), lose
+        )
     )
     ch, cv = after_loss
-    t = _thermal_probs(np.array(means), n_model)[:, :, None]
+    t = _thermal_probs(means, n_model)[:, :, None]
     marg_h = ch @ (keep_h[..., None] * (lose_h @ t))
     marg_v = cv @ (keep_v[..., None] * (lose_v @ t))
     product = marg_h * marg_v.transpose(0, 2, 1)
-    joint = (lose_h * t.transpose(0, 2, 1)) @ lose_v.transpose(0, 2, 1)
+    # In place where a factor is spent: a fresh 0.4 MB array per pass costs
+    # more in page faults than its arithmetic.
+    lose_h *= t.transpose(0, 2, 1)
+    joint = lose_h @ lose_v.transpose(0, 2, 1)
     joint *= keep_h[..., None]
     joint *= keep_v[:, None, :]
-    return product, ch @ joint @ cv.T - product
+    slope = ch @ joint @ cv.T
+    slope -= product
+    return product, slope
+
+
+def _keep_first_best(best, rows, values, g, log_means) -> None:
+    """Record in ``best`` each row's first best point of a pass, where it beats the row's best.
+
+    The points are in evaluation order, and several can share a row.
+    Sorted by (row, value) with a stable sort, so by evaluation order last,
+    a row's first entry is its smallest value, the earliest of ties; NaN
+    sorts last and never improves a row.
+    """
+    order = np.lexsort((values, rows))
+    first = order[np.concatenate(([True], rows[order[1:]] != rows[order[:-1]]))]
+    k = first[values[first] < best[0, rows[first]]]
+    best[:, rows[k]] = values[k], g[k], log_means[k]
 
 
 def _fit_stage2_batch(
-    histograms: list[CountsMatrix],
+    counts: np.ndarray,
+    shots: np.ndarray,
     stage1: Stage1Result,
     config: FitConfig,
     trace: list | None = None,
-) -> list[FitResult]:
-    """``fit_stage2`` of every histogram, all with the same ``stage1``.
+) -> np.ndarray:
+    """``fit_stage2`` of every histogram ``counts[k]`` of ``shots[k]`` shots, one stage 1.
 
-    Each pass of the search builds the model terms at one point of every
-    running search at once. A histogram's points, and the arithmetic on
-    them, do not depend on the others, so each result is bitwise its fit
-    alone. With one histogram, ``trace`` gets its best objective after
-    every evaluation.
+    Returns the best point of every row as a ``(3, rows)`` array: the
+    objective, ``g`` and ``log(mean)``. Each pass of the search builds the
+    model terms at one point of every running search at once. A row's
+    points, and the arithmetic on them, do not depend on the others, so
+    each row is bitwise its fit alone. With one row, ``trace`` gets its
+    best objective after every evaluation. A search that exhausts the
+    budget raises FitConvergenceError naming its row: row 0 is "the
+    counts" and row ``k`` "resample k", the layout of ``fit_counts``.
     """
-    emp = np.stack([h.counts / h.shots for h in histograms])
-    weights = np.stack([_weights(h) for h in histograms])
-    n_out, n_model = histograms[0].n_max, config.n_max
+    emp = counts / shots[:, None, None]
+    weights = _weights(counts)
+    n_out, n_model = counts.shape[-1] - 1, config.n_max
     after_loss = [
         after_loss_channel(dark, xtalk, min(n_out, n_model), n_out)
         for dark, xtalk in ((stage1.dark_h, stage1.xtalk_h), (stage1.dark_v, stage1.xtalk_v))
     ]
-    best = np.full((3, len(histograms)), math.inf)  # objective, g, log(mean)
+    best = np.full((3, len(counts)), math.inf)  # objective, g, log(mean)
+    scratch = np.empty((2, 0) + counts.shape[1:])
 
     def evaluate(rows, log_means, product, slope):
         """The objective at each point, minimized over g in closed form."""
+        nonlocal scratch
+        if scratch.shape[1] < rows.size:
+            scratch = np.empty((2, rows.size) + counts.shape[1:])
         e, wr = emp[rows], weights[rows]
-        w_slope = wr * slope
-        curvature = (w_slope * slope).sum(axis=(-2, -1))
+        w_slope, work = scratch[:, : rows.size]
+        np.multiply(wr, slope, out=w_slope)
+        curvature = np.multiply(w_slope, slope, out=work).sum(axis=(-2, -1))
+        np.subtract(e, product, out=work)
         g = np.divide(
-            (w_slope * (e - product)).sum(axis=(-2, -1)), curvature,
+            np.multiply(w_slope, work, out=work).sum(axis=(-2, -1)), curvature,
             out=np.zeros_like(curvature), where=curvature > 0.0,
         ).clip(0.0, 1.0)
-        diff = product + g[:, None, None] * slope - e
-        values = (wr * diff * diff).sum(axis=(-2, -1))
+        # diff = product + g slope - e, then the weighted square, reusing both.
+        diff = np.multiply(g[:, None, None], slope, out=w_slope)
+        np.add(product, diff, out=diff)
+        np.subtract(diff, e, out=diff)
+        np.multiply(wr, diff, out=work)
+        values = np.multiply(work, diff, out=work).sum(axis=(-2, -1))
         if trace is not None:
             trace.extend(np.minimum.accumulate(np.append(best[0, 0], values))[1:].tolist())
-        # Keep the first best point of each histogram, in evaluation order.
-        for k in np.flatnonzero(values < best[0, rows]):
-            if values[k] < best[0, rows[k]]:
-                best[:, rows[k]] = values[k], g[k], log_means[k]
+        _keep_first_best(best, rows, values, g, log_means)
         return values
 
     evaluations = 0
@@ -370,18 +413,22 @@ def _fit_stage2_batch(
         # One pass: one new point of every search still running.
         nonlocal evaluations
         if evaluations == config.max_iterations:
+            row = int(rows[0])
             raise FitConvergenceError(
-                f"stage-2 mean search did not converge within {config.max_iterations} evaluations",
-                best=np.array([best[1, rows[0]], math.exp(best[2, rows[0]])]),
-                objective=float(best[0, rows[0]]),
+                f"stage-2 mean search of {'the counts' if row == 0 else f'resample {row}'} "
+                f"did not converge within {config.max_iterations} evaluations",
+                best=np.array([best[1, row], math.exp(best[2, row])]),
+                objective=float(best[0, row]),
+                row=row,
             )
         evaluations += 1
-        return evaluate(rows, log_means, *_stage2_terms(stage1, log_means, n_model, after_loss))
+        terms = _stage2_terms(stage1, log_means, n_model, after_loss, lose)
+        return evaluate(rows, log_means, *terms)
 
     mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
     mean_hi = max(n_model / 3.0, mean_lo * 2.0)
     grid = np.linspace(math.log(mean_lo), math.log(mean_hi), _MEAN_GRID_POINTS)
-    every = np.arange(len(histograms))
+    every = np.arange(len(counts))
     values = np.stack([
         evaluate(every, np.full(every.size, u), product, slope)
         for u, product, slope in zip(grid, *_stage2_terms(stage1, grid, n_model, after_loss))
@@ -396,16 +443,19 @@ def _fit_stage2_batch(
     x = w = v = grid[k]
     fx = fw = fv = values[rows, k]
     d = e = np.zeros(rows.size)
+    # Every pass writes its loss factors here; no later pass has more points.
+    lose = np.empty((2, rows.size, min(n_out, n_model) + 1, n_model + 1))
     # Brent's stop test |x - mid| <= 2 tol - (b - a) / 2 implies b - a <= 4 tol.
     tol = math.sqrt(config.convergence_tol) / 4.0
     while True:
         mid = 0.5 * (a + b)
         running = np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)
-        if not running.any():
-            break
-        rows, a, b, x, w, v, fx, fw, fv, d, e, mid = (
-            s[running] for s in (rows, a, b, x, w, v, fx, fw, fv, d, e, mid)
-        )
+        if not running.all():
+            if not running.any():
+                break
+            rows, a, b, x, w, v, fx, fw, fv, d, e, mid = (
+                s[running] for s in (rows, a, b, x, w, v, fx, fw, fv, d, e, mid)
+            )
         # The vertex of the parabola through x, w and v is x + p / q. It is
         # taken if it lies inside (a, b) and is under half the step before
         # last; otherwise a golden step goes into the larger segment.
@@ -437,10 +487,13 @@ def _fit_stage2_batch(
         w = np.where(better, x, np.where(new_w, u, w))
         fw = np.where(better, fx, np.where(new_w, fu, fw))
         x, fx = np.where(better, u, x), np.where(better, fu, fx)
-    return [_stage2_result(stage1, float(v), float(g), math.exp(u)) for v, g, u in best.T]
+    return best
 
 
-def _stage2_result(stage1: Stage1Result, fval: float, g: float, mean: float) -> FitResult:
+def _stage2_result(stage1: Stage1Result, point: np.ndarray) -> FitResult:
+    """The fit at a batch's best ``point``: objective, g and log(mean)."""
+    fval, g, log_mean = point.tolist()
+    mean = math.exp(log_mean)
     det_h, det_v = (
         DetectorParams(efficiency=min(detected / mean, 1.0), dark_mean=dark, crosstalk=xtalk)
         for detected, dark, xtalk in (
@@ -473,7 +526,10 @@ def fit_stage2(
     FitConvergenceError if a search needs more than ``max_iterations``
     evaluations.
     """
-    return _fit_stage2_batch([counts], stage1, config or FitConfig(), trace)[0]
+    best = _fit_stage2_batch(
+        counts.counts[None], np.array([counts.shots]), stage1, config or FitConfig(), trace
+    )
+    return _stage2_result(stage1, best[:, 0])
 
 
 def reconstruct(fit: FitResult, n_max: int) -> JointDistribution:
@@ -502,19 +558,40 @@ def poisson_resample(counts: CountsMatrix, rng: np.random.Generator) -> CountsMa
     raise ValueError("resampling produced only empty histograms; counts are too sparse")
 
 
-def _draw_resamples(counts: CountsMatrix, n_resamples: int, seed: int) -> tuple[list, float]:
-    """The bootstrap resamples and the standard deviation of their product distance.
+def _draw_resamples(
+    counts: CountsMatrix, n_resamples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counts and their bootstrap resamples, stacked, and the resamples' product distances.
 
-    Resample ``r`` is drawn from its own stream ``(seed, r)``, so the draws
-    do not depend on execution order.
+    Row 0 of the stacked counts and shots is the counts themselves, and row
+    ``r + 1`` the resample drawn from its own stream ``(seed, r)``, so the
+    draws do not depend on execution order. The distances come from one
+    batched SVD; each is bitwise ``product_distance(singular_spectrum(
+    normalize(x)))`` of its resample ``x``.
     """
-    resamples = [poisson_resample(counts, _stream_rng(seed, r)) for r in range(n_resamples)]
-    d_samples = [product_distance(singular_spectrum(normalize(x))) for x in resamples]
-    return resamples, float(np.std(d_samples, ddof=1))
+    draws = [counts] + [poisson_resample(counts, _stream_rng(seed, r)) for r in range(n_resamples)]
+    stacked = np.stack([x.counts for x in draws])
+    shots = np.array([x.shots for x in draws])
+    s = np.linalg.svd(stacked[1:] / shots[1:, None, None], compute_uv=False)
+    norm = np.sqrt((s * s).sum(axis=1))
+    if not norm.all():
+        raise ValueError("cannot normalize the spectrum of a zero matrix")
+    tail = (s / norm[:, None])[:, 1:]
+    return stacked, shots, np.sqrt((tail * tail).sum(axis=1))
 
 
-def _g_spread(fits: list[FitResult]) -> float:
-    return float(np.std([fit.source.correlation for fit in fits], ddof=1))
+def _bootstrap_batch(
+    counts: CountsMatrix, n_resamples: int, seed: int, stage1: Stage1Result, config: FitConfig
+) -> tuple[np.ndarray, float, float]:
+    """The counts and their resamples fitted in one stage-2 batch, the counts as row 0.
+
+    Returns the batch's best points (``_fit_stage2_batch``) and the
+    bootstrap standard deviations of ``g`` and of the product distance
+    over the resamples.
+    """
+    stacked, shots, distances = _draw_resamples(counts, n_resamples, seed)
+    best = _fit_stage2_batch(stacked, shots, stage1, config)
+    return best, float(np.std(best[1, 1:], ddof=1)), float(np.std(distances, ddof=1))
 
 
 def bootstrap(
@@ -528,22 +605,21 @@ def bootstrap(
 
     Each resample draws an independent Poisson histogram around the
     observed counts, then recomputes the product distance and the stage-2
-    fit; the resamples are drawn first and fitted in one batched search.
-    Stage 1 is held at ``stage1``, the caller's fit of the original
-    counts; without one it is fit here, once. Resamples use
-    independent RNG streams derived from ``(seed, resample_index)``, so
-    the result does not depend on execution order. A resample whose fit
-    exhausts its budget raises FitConvergenceError. ``fit_counts`` draws
-    the same resamples and fits them in one batch with the counts
-    themselves.
+    fit; the resamples are drawn first and fitted in one batched search,
+    with the counts themselves as row 0. Stage 1 is held at ``stage1``,
+    the caller's fit of the original counts; without one it is fit here,
+    once. Resamples use independent RNG streams derived from
+    ``(seed, resample_index)``, so the result does not depend on execution
+    order. A search that exhausts its budget raises FitConvergenceError.
+    ``fit_counts`` fits the same batch.
     """
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
     config = config or FitConfig()
     if stage1 is None:
         stage1 = fit_stage1(counts, config)
-    resamples, d_err = _draw_resamples(counts, n_resamples, seed)
-    return _g_spread(_fit_stage2_batch(resamples, stage1, config)), d_err
+    _, g_err, d_err = _bootstrap_batch(counts, n_resamples, seed, stage1, config)
+    return g_err, d_err
 
 
 def check_n_bootstrap(n_bootstrap: int) -> None:
@@ -561,16 +637,16 @@ def fit_counts(
     """Run both stages, then the bootstrap unless ``n_bootstrap`` is 0.
 
     With a bootstrap, the counts and their resamples (those of
-    ``bootstrap``) are fitted in one stage-2 batch, the counts as row 0.
-    A batch's rows are bitwise their fits alone, so the fit and its errors
-    are those of ``fit_stage2`` and ``bootstrap``. An ``n_bootstrap`` of 1
-    or less than 0 is rejected before any fit.
+    ``bootstrap``) are fitted in one stage-2 batch, the counts as row 0,
+    and only that row becomes a FitResult. A batch's rows are bitwise
+    their fits alone, so the fit and its errors are those of
+    ``fit_stage2`` and ``bootstrap``. An ``n_bootstrap`` of 1 or less than
+    0 is rejected before any fit.
     """
     check_n_bootstrap(n_bootstrap)
     config = config or FitConfig()
     stage1 = fit_stage1(counts, config)
     if not n_bootstrap:
         return fit_stage2(counts, stage1, config)
-    resamples, d_err = _draw_resamples(counts, n_bootstrap, seed)
-    result, *fits = _fit_stage2_batch([counts, *resamples], stage1, config)
-    return replace(result, g_error=_g_spread(fits), distance_error=d_err)
+    best, g_err, d_err = _bootstrap_batch(counts, n_bootstrap, seed, stage1, config)
+    return replace(_stage2_result(stage1, best[:, 0]), g_error=g_err, distance_error=d_err)

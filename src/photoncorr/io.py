@@ -70,7 +70,7 @@ def read_counts(path: str) -> CountsMatrix:
 def distribution_to_text(dist: JointDistribution) -> str:
     lines = [f"# n_max={dist.n_max} tail_mass={dist.tail_mass!r}"]
     for row in dist.probs:
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,9 @@ and both commands run with scipy unimportable.
 
 import ast
 import glob
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -152,15 +155,130 @@ UNCALLED_ON_PURPOSE = {
 }
 
 
-def _reads(tree) -> set[str]:
-    """Every name the tree reads, as a ``Name`` or as an ``Attribute``."""
-    names = set()
+def _resolve(value):
+    """``(module, name)`` of a package function or class, else None."""
+    module = getattr(value, "__module__", None) or ""
+    if callable(value) and module.startswith("photoncorr"):
+        return module, value.__qualname__
+    return None
+
+
+def _imported(tree, package: str | None) -> dict:
+    """What every import in the tree binds: a module object, or a resolved name.
+
+    Imports anywhere in the tree count, function-level ones included; a
+    relative import resolves against ``package``. Names outside the
+    package are left out.
+    """
+    bound = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "photoncorr":
+                    value = importlib.import_module(alias.name)
+                    bound[alias.asname or "photoncorr"] = value if alias.asname \
+                        else importlib.import_module("photoncorr")
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), package) \
+                if node.level else node.module
+            if base.split(".")[0] != "photoncorr":
+                continue
+            for alias in node.names:
+                try:
+                    value = importlib.import_module(f"{base}.{alias.name}")
+                except ModuleNotFoundError:
+                    value = getattr(importlib.import_module(base), alias.name)
+                bound[alias.asname or alias.name] = value if inspect.ismodule(value) \
+                    else _resolve(value)
+    return bound
+
+
+def _function_locals(function) -> set[str]:
+    """Names a function binds: its arguments and every name it stores."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    return names | {n.id for n in ast.walk(function)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _references(source: str, module: str | None = None) -> set:
+    """The package functions and classes that the source reads, as ``(module, name)``.
+
+    A read counts when it resolves to the object it names: a name an
+    import bound, an attribute chain from an imported module, or, inside
+    ``module`` itself, one of its own top-level definitions read outside
+    that definition and not shadowed by a local of the enclosing function.
+    A same-named local variable, parameter or other module's function is
+    no caller.
+    """
+    tree = ast.parse(source)
+    package = module.rpartition(".")[0] if module else None
+    bound = _imported(tree, package)
+    own = {}
+    if module is not None:
+        own = {node.name: (module, node.name) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found = set()
+
+    def visit(node, shadowed, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            shadowed = shadowed | _function_locals(node)
+        if isinstance(node, ast.Attribute):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and inspect.ismodule(bound.get(node.id)):
+                value = bound[node.id]
+                for attr in reversed(chain):
+                    value = getattr(value, attr, None)
+                    if not inspect.ismodule(value):
+                        break
+                if _resolve(value) is not None:
+                    found.add(_resolve(value))
+            visit(node, shadowed, defining)  # the chain's innermost value
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
+                if isinstance(bound.get(node.id), tuple):
+                    found.add(bound[node.id])
+                elif node.id in own and node.id != defining:
+                    found.add(own[node.id])
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed, defining)
+
+    for node in tree.body:
+        visit(node, frozenset(), getattr(node, "name", None))
+    return found
+
+
+def test_reference_check_resolves_names():
+    # A parameter named like a package function, an attribute of an
+    # unknown object, another module's function of the same name and a
+    # definition's read of itself are no callers.
+    source = (
+        "import photoncorr.inference as inf\n"
+        "from photoncorr import cli\n"
+        "from photoncorr.montecarlo import normalize as norm\n"
+        "def read_counts(path):\n"
+        "    return path\n"
+        "def f(moments, x):\n"
+        "    return moments, x.bootstrap, read_counts(1), norm, inf.fit_counts, cli.main\n"
+        "def g():\n"
+        "    return g, h.__doc__\n"
+        "def h():\n"
+        "    pass\n"
+    )
+    assert _references(source) == {
+        ("photoncorr.montecarlo", "normalize"),
+        ("photoncorr.inference", "fit_counts"),
+        ("photoncorr.cli", "main"),
+    }
+    own = _references(source, "photoncorr.example")
+    assert ("photoncorr.example", "read_counts") in own
+    assert ("photoncorr.example", "h") in own
+    assert ("photoncorr.example", "g") not in own
 
 
 def test_every_public_name_has_a_caller():
@@ -168,23 +286,22 @@ def test_every_public_name_has_a_caller():
     # outside its own definition, or the bench or the acceptance criteria
     # read it. Unit tests alone do not keep a name in the package.
     root = os.path.dirname(SRC)
-    callers = [os.path.join(root, "tests", "test_acceptance.py")]
-    callers += glob.glob(os.path.join(root, "bench", "*.py"))
-    read = set()
-    for path in callers:
-        with open(path) as handle:
-            read |= _reads(ast.parse(handle.read()))
-    defined = {}
+    sources = [(path, None) for path in glob.glob(os.path.join(root, "bench", "*.py"))]
+    sources.append((os.path.join(root, "tests", "test_acceptance.py"), None))
+    defined = set()
     for path in sorted(glob.glob(os.path.join(SRC, "photoncorr", "*.py"))):
+        # The package's own __init__ is "photoncorr.__init__" here, so that
+        # its relative imports resolve against the package.
+        module = f"photoncorr.{os.path.splitext(os.path.basename(path))[0]}"
+        sources.append((path, module))
         with open(path) as handle:
-            tree = ast.parse(handle.read())
-        for node in tree.body:
-            names = _reads(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(node.name)
-                if not node.name.startswith("_"):
-                    defined[node.name] = os.path.basename(path)
-            read |= names
-    uncalled = sorted(f"{module}:{name}" for name, module in defined.items()
-                      if name not in read and name not in UNCALLED_ON_PURPOSE)
+            defined |= {(module, node.name) for node in ast.parse(handle.read()).body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")}
+    read = set()
+    for path, module in sources:
+        with open(path) as handle:
+            read |= _references(handle.read(), module)
+    uncalled = sorted(f"{module}:{name}" for module, name in defined - read
+                      if name not in UNCALLED_ON_PURPOSE)
     assert uncalled == [], uncalled

@@ -526,6 +526,42 @@ class TestBootstrap:
         assert resampled.counts.sum() + resampled.overflow == resampled.shots
         assert resampled.n_max == counts.n_max
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_max=st.integers(0, 6),
+        cells=st.lists(st.sampled_from([0, 0, 0, 1, 2, 7, 1000]), min_size=49, max_size=49),
+        overflow=st.sampled_from([0, 1, 30]),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_stacked_draws_are_the_resamples(self, n_max, cells, overflow, seed):
+        # Sparse histograms and overflow included: the stacked draw holds
+        # the counts, then every resample of its own stream, and the batched
+        # spectrum gives each resample's product distance bitwise. A
+        # resample with every cell empty has no spectrum, and both reject it.
+        dim = n_max + 1
+        cells = np.array(cells[: dim * dim]).reshape(dim, dim)
+        assume(cells.sum() + overflow > 0)
+        counts = CountsMatrix(n_max, cells, int(cells.sum()) + overflow, overflow)
+        draws = [poisson_resample(counts, _stream_rng(seed, r)) for r in range(5)]
+        try:
+            want = [product_distance(singular_spectrum(normalize(x))) for x in draws]
+        except ValueError:
+            with pytest.raises(ValueError, match="zero matrix"):
+                inference._draw_resamples(counts, 5, seed)
+            return
+        stacked, shots, distances = inference._draw_resamples(counts, 5, seed)
+        assert stacked.tolist() == [x.counts.tolist() for x in [counts, *draws]]
+        assert shots.tolist() == [x.shots for x in [counts, *draws]]
+        assert distances.tolist() == want
+
+    def test_distance_error_is_that_of_the_resamples(self):
+        # A sparse histogram with overflow, fitted with a fixed stage 1.
+        counts = CountsMatrix(3, [[40, 3, 0, 0], [2, 5, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], 60, 7)
+        stage1 = Stage1Result(0.3, 0.3, 0.01, 0.01, 0.0, 0.0, 0.0)
+        draws = [poisson_resample(counts, _stream_rng(4, r)) for r in range(6)]
+        want = np.std([product_distance(singular_spectrum(normalize(x))) for x in draws], ddof=1)
+        assert bootstrap(counts, 6, 4, FitConfig(n_max=20), stage1)[1] == float(want)
+
     def test_stage1_fit_once(self, monkeypatch):
         calls = []
 
@@ -617,6 +653,11 @@ class TestStage2Terms:
         ]
         product, slope = inference._stage2_terms(stage1, log_means, n_model, after_loss)
         assert np.all(np.isfinite(product)) and np.all(np.isfinite(slope))
+        # Loss factors written into given arrays, one row longer than the
+        # points and filled with NaN, give the same terms bitwise.
+        lose = np.full((2, log_means.size + 1, n_out + 1, n_model + 1), np.nan)
+        again = inference._stage2_terms(stage1, log_means, n_model, after_loss, lose)
+        assert again[0].tolist() == product.tolist() and again[1].tolist() == slope.tolist()
         for u, got_product, got_slope in zip(log_means, product, slope):
             want_product, want_slope = self.oracle(stage1, math.exp(u), n_model, after_loss)
             np.testing.assert_allclose(got_product, want_product, rtol=1e-10, atol=1e-300)
@@ -635,7 +676,27 @@ def _resamples_fitted_alone():
     config = FitConfig(n_max=40)
     stage1 = fit_stage1(counts, config)
     resamples = [poisson_resample(counts, _stream_rng(2, r)) for r in range(8)]
-    return resamples, stage1, config, [fit_stage2(x, stage1, config) for x in resamples]
+    return counts, resamples, stage1, config, [fit_stage2(x, stage1, config) for x in resamples]
+
+
+def stage2_batch(histograms, stage1, config):
+    """``_fit_stage2_batch`` of a list of histograms."""
+    return inference._fit_stage2_batch(
+        np.stack([x.counts for x in histograms]), np.array([x.shots for x in histograms]),
+        stage1, config,
+    )
+
+
+def sequential_first_best(best, rows, values, g, log_means):
+    """The first-best update point by point, in evaluation order."""
+    for k in np.flatnonzero(values < best[0, rows]):
+        if values[k] < best[0, rows[k]]:
+            best[:, rows[k]] = values[k], g[k], log_means[k]
+
+
+_objective_values = st.sampled_from([0.0, 0.5, 1.0, math.inf, math.nan]) | st.floats(
+    min_value=0.0, max_value=2.0
+)
 
 
 class TestStage2Batch:
@@ -644,12 +705,36 @@ class TestStage2Batch:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(order=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
     def test_rows_equal_fits_alone(self, order):
-        resamples, stage1, config, alone = _resamples_fitted_alone()
-        batch = inference._fit_stage2_batch([resamples[i] for i in order], stage1, config)
-        assert len(batch) == len(order)
-        for i, fit in zip(order, batch):
+        # Each row of the batch's (objective, g, log mean) array is bitwise
+        # that of its histogram in a batch of one, and the FitResult built
+        # from it is the histogram's fit_stage2.
+        _, resamples, stage1, config, alone = _resamples_fitted_alone()
+        batch = stage2_batch([resamples[i] for i in order], stage1, config)
+        assert batch.shape == (3, len(order))
+        for i, row in zip(order, batch.T):
+            assert row.tolist() == stage2_batch([resamples[i]], stage1, config)[:, 0].tolist()
+            fit = inference._stage2_result(stage1, row)
             for field in dataclasses.fields(FitResult):
                 assert getattr(fit, field.name) == getattr(alone[i], field.name), field.name
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        initial=st.lists(_objective_values, min_size=1, max_size=4),
+        points=st.lists(st.tuples(st.integers(0, 3), _objective_values), min_size=1, max_size=12),
+    )
+    def test_first_best_update_is_the_sequential_rule(self, initial, points):
+        # Several points per row (two searches of one histogram), ties,
+        # inf and NaN: each row keeps its earliest smallest value that
+        # beats its best, as a point-by-point update in evaluation order.
+        rows = np.array([row % len(initial) for row, _ in points])
+        values = np.array([value for _, value in points])
+        g, log_means = np.arange(rows.size) / 16.0, -np.arange(rows.size, dtype=float)
+        best = np.full((3, len(initial)), -1.0)
+        best[0] = initial
+        want = best.copy()
+        sequential_first_best(want, rows, values, g, log_means)
+        inference._keep_first_best(best, rows, values, g, log_means)
+        np.testing.assert_array_equal(best, want)
 
     def test_loss_builds_do_not_grow_with_resamples(self, monkeypatch):
         # A batch makes one pass over the grid, then one pass per step of
@@ -678,7 +763,9 @@ class TestStage2Batch:
         monkeypatch.setattr(inference, "_loss_factors", counting(factors))
         for n_resamples in (20, 40):
             resamples = [poisson_resample(counts, _stream_rng(3, r)) for r in range(n_resamples)]
-            passes = max(calls_to(terms, fit_stage2, x, stage1, config) - 1 for x in resamples)
+            passes = max(
+                calls_to(terms, fit_stage2, x, stage1, config) - 1 for x in [counts, *resamples]
+            )
             builds = calls_to(factors, bootstrap, counts, n_resamples, 3, config, stage1)
             assert builds == 2 * (1 + passes), n_resamples
 
@@ -708,6 +795,38 @@ class TestStage2Batch:
         g, mean = excinfo.value.best
         assert 0.0 <= g <= 1.0 and mean > 0.0
         assert excinfo.value.objective >= fit.residual
+        assert excinfo.value.row == 0 and "search of the counts did" in str(excinfo.value)
+
+    def test_exhausted_budget_names_the_row(self, monkeypatch):
+        # At a budget the counts' searches meet, resamples whose searches
+        # need more fail the bootstrap, and the error names the first of
+        # them (row r + 1 of the batch is drawn from stream (seed, r)), so
+        # its (g, mean) is not read as the fit's own. The budget counts
+        # passes: a histogram's searches run in lockstep, one point each.
+        counts, resamples, stage1, config, _ = _resamples_fitted_alone()
+        passes = []
+        terms = inference._stage2_terms
+        monkeypatch.setattr(
+            inference, "_stage2_terms", lambda *args: passes.append(1) or terms(*args)
+        )
+
+        def search_passes(x):
+            passes.clear()
+            fit_stage2(x, stage1, config)
+            return len(passes) - 1
+
+        budget = search_passes(counts)
+        late = [r + 1 for r, x in enumerate(resamples) if search_passes(x) > budget]
+        assert len(late) > 1, "fewer than two resamples need more passes than the counts"
+        short = dataclasses.replace(config, max_iterations=budget)
+        assert fit_stage2(counts, stage1, short) == fit_stage2(counts, stage1, config)
+        with pytest.raises(FitConvergenceError) as excinfo:
+            bootstrap(counts, len(resamples), 2, short, stage1)
+        assert excinfo.value.row == late[0]
+        assert f"search of resample {late[0]} did not converge" in str(excinfo.value)
+        row = stage2_batch([resamples[late[0] - 1]], stage1, config)[:, 0]
+        g, mean = excinfo.value.best
+        assert 0.0 <= g <= 1.0 and mean > 0.0 and excinfo.value.objective >= row[0]
 
 
 class TestModeSymmetry:

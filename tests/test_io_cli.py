@@ -9,6 +9,7 @@ import photoncorr.inference
 from photoncorr import CountsMatrix, JointDistribution, SourceParams, SimConfig, simulate
 from photoncorr.cli import main
 from photoncorr.io import (
+    distribution_to_text,
     read_counts,
     sum_difference_to_text,
     sum_difference_view,
@@ -79,6 +80,17 @@ class TestDistributionFile:
         header = path.read_text().splitlines()[0]
         assert header == f"# n_max=4 tail_mass={dist.tail_mass!r}"
         assert np.array_equal(np.loadtxt(path, delimiter=","), dist.probs)
+
+    def test_text_is_each_float_repr(self, rng):
+        # Signed zero, subnormals, tiny and random values: every cell is
+        # written as repr(float(v)), so the text round-trips exactly.
+        probs = rng.random((6, 6))
+        probs[0] = [-0.0, 5e-324, 2.2250738585072014e-308 / 3.0, 1e-300, 0.1, 1.0 / 3.0]
+        dist = JointDistribution(n_max=5, probs=probs, tail_mass=0.125)
+        lines = distribution_to_text(dist).splitlines()
+        assert lines[0] == "# n_max=5 tail_mass=0.125"
+        assert lines[1:] == [",".join(repr(float(v)) for v in row) for row in dist.probs]
+        assert lines[1].startswith("-0.0,5e-324,")
 
 
 class TestJsonFile:
