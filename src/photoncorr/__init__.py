@@ -43,7 +43,6 @@ from .inference import (
     FitConvergenceError,
     FitResult,
     Stage1Result,
-    bootstrap,
     fit_counts,
     fit_stage1,
     fit_stage2,
@@ -68,7 +67,6 @@ __all__ = [
     "Stage1Result",
     "after_loss_channel",
     "apply_two_mode",
-    "bootstrap",
     "coincidence_ratio",
     "compose_channel",
     "correlation_report",

@@ -37,11 +37,13 @@ and all the resamples in one batch, the counts as row 0, and only that
 row becomes a ``FitResult``; a single fit is the batch of one. A batch's
 rows are bitwise their fits alone, and nothing is memoised between fits.
 
-Bootstrap uncertainties assume Poissonian counting noise: every cell is
-replaced by an independent Poisson draw centered on the observed count
-and the stage-2 fit and product distance are recomputed per resample.
-The resamples are drawn into one stacked array, and their product
-distances come from one batched SVD.
+``fit_counts`` is the one entry to the bootstrap. Its uncertainties
+assume Poissonian counting noise: every cell is replaced by an
+independent Poisson draw centered on the observed count, and the
+stage-2 fit, with the counts' stage 1 held, and the product distance
+are recomputed per resample. The resamples are drawn into one stacked
+array, and their product distances come from one batched SVD through
+the spectrum that ``measures`` defines.
 
 Both stages need numpy only.
 """
@@ -55,7 +57,8 @@ import numpy as np
 
 from .detector import DetectorParams, _after_loss_derivatives, _loss_factors, after_loss_channel
 from .distributions import JointDistribution, SourceParams, _thermal_probs, mixture_joint
-from .montecarlo import CountsMatrix, _stream_rng
+from .measures import _normalized_spectra, _tail_norms
+from .montecarlo import CountsMatrix, _stream_rng, normalize
 
 _DARK_MAX = 5.0
 _XTALK_MAX = 0.45
@@ -175,11 +178,6 @@ def _detected_marginal_jacobian(
     return chan @ t, np.column_stack([chan @ dt, d_dark @ t, d_xtalk @ t])
 
 
-def _empirical_marginals(counts: CountsMatrix) -> tuple[np.ndarray, np.ndarray]:
-    p = counts.counts / counts.shots
-    return p.sum(axis=1), p.sum(axis=0)
-
-
 def _levenberg_marquardt(evaluate, x, lower, upper, config: FitConfig):
     """Minimize ``r @ r`` over the box ``[lower, upper]``, starting at ``x``.
 
@@ -245,7 +243,8 @@ def fit_stage1(
     marginal) and FitConvergenceError if the solver exhausts its budget.
     """
     config = config or FitConfig()
-    emp_h, emp_v = _empirical_marginals(counts)
+    p = normalize(counts).probs
+    emp_h, emp_v = p.sum(axis=1), p.sum(axis=0)
     if np.count_nonzero(emp_h) < 2 or np.count_nonzero(emp_v) < 2:
         raise ValueError("marginal with fewer than 2 occupied bins cannot constrain the fit")
     target = np.outer(emp_h, emp_v)
@@ -542,17 +541,17 @@ def poisson_resample(counts: CountsMatrix, rng: np.random.Generator) -> CountsMa
 
     The total number of shots is not conserved; it is recomputed from the
     resampled counts, matching the assumption of independent Poissonian
-    cell noise.
+    cell noise. A draw whose in-range cells are all empty has no spectrum,
+    so it is drawn again, at most 100 times in all.
     """
     for _ in range(100):
         new_counts = rng.poisson(counts.counts)
         new_overflow = int(rng.poisson(counts.overflow))
-        total = int(new_counts.sum()) + new_overflow
-        if total > 0:
+        if new_counts.any():
             return CountsMatrix(
                 n_max=counts.n_max,
                 counts=new_counts,
-                shots=total,
+                shots=int(new_counts.sum()) + new_overflow,
                 overflow=new_overflow,
             )
     raise ValueError("resampling produced only empty histograms; counts are too sparse")
@@ -572,54 +571,8 @@ def _draw_resamples(
     draws = [counts] + [poisson_resample(counts, _stream_rng(seed, r)) for r in range(n_resamples)]
     stacked = np.stack([x.counts for x in draws])
     shots = np.array([x.shots for x in draws])
-    s = np.linalg.svd(stacked[1:] / shots[1:, None, None], compute_uv=False)
-    norm = np.sqrt((s * s).sum(axis=1))
-    if not norm.all():
-        raise ValueError("cannot normalize the spectrum of a zero matrix")
-    tail = (s / norm[:, None])[:, 1:]
-    return stacked, shots, np.sqrt((tail * tail).sum(axis=1))
-
-
-def _bootstrap_batch(
-    counts: CountsMatrix, n_resamples: int, seed: int, stage1: Stage1Result, config: FitConfig
-) -> tuple[np.ndarray, float, float]:
-    """The counts and their resamples fitted in one stage-2 batch, the counts as row 0.
-
-    Returns the batch's best points (``_fit_stage2_batch``) and the
-    bootstrap standard deviations of ``g`` and of the product distance
-    over the resamples.
-    """
-    stacked, shots, distances = _draw_resamples(counts, n_resamples, seed)
-    best = _fit_stage2_batch(stacked, shots, stage1, config)
-    return best, float(np.std(best[1, 1:], ddof=1)), float(np.std(distances, ddof=1))
-
-
-def bootstrap(
-    counts: CountsMatrix,
-    n_resamples: int = 100,
-    seed: int = 0,
-    config: FitConfig | None = None,
-    stage1: Stage1Result | None = None,
-) -> tuple[float, float]:
-    """Bootstrap standard deviations of the fitted g and of the product distance.
-
-    Each resample draws an independent Poisson histogram around the
-    observed counts, then recomputes the product distance and the stage-2
-    fit; the resamples are drawn first and fitted in one batched search,
-    with the counts themselves as row 0. Stage 1 is held at ``stage1``,
-    the caller's fit of the original counts; without one it is fit here,
-    once. Resamples use independent RNG streams derived from
-    ``(seed, resample_index)``, so the result does not depend on execution
-    order. A search that exhausts its budget raises FitConvergenceError.
-    ``fit_counts`` fits the same batch.
-    """
-    if n_resamples < 2:
-        raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
-    config = config or FitConfig()
-    if stage1 is None:
-        stage1 = fit_stage1(counts, config)
-    _, g_err, d_err = _bootstrap_batch(counts, n_resamples, seed, stage1, config)
-    return g_err, d_err
+    distances = _tail_norms(_normalized_spectra(stacked[1:] / shots[1:, None, None]))
+    return stacked, shots, distances
 
 
 def check_n_bootstrap(n_bootstrap: int) -> None:
@@ -636,17 +589,27 @@ def fit_counts(
 ) -> FitResult:
     """Run both stages, then the bootstrap unless ``n_bootstrap`` is 0.
 
-    With a bootstrap, the counts and their resamples (those of
-    ``bootstrap``) are fitted in one stage-2 batch, the counts as row 0,
-    and only that row becomes a FitResult. A batch's rows are bitwise
-    their fits alone, so the fit and its errors are those of
-    ``fit_stage2`` and ``bootstrap``. An ``n_bootstrap`` of 1 or less than
-    0 is rejected before any fit.
+    The bootstrap draws ``n_bootstrap`` independent Poisson histograms
+    around the counts, resample ``r`` from its own RNG stream
+    ``(seed, r)`` so the result does not depend on execution order. The
+    counts and the resamples are fitted in one stage-2 batch with the
+    counts' stage 1, the counts as row 0, and only that row becomes a
+    FitResult; a batch's rows are bitwise their fits alone, so the fit is
+    that of ``fit_stage2``. ``g_error`` and ``distance_error`` are the
+    standard deviations of the resamples' fitted ``g`` and product
+    distances. A search that exhausts its budget raises
+    FitConvergenceError naming its row. An ``n_bootstrap`` of 1 or less
+    than 0 is rejected before any fit.
     """
     check_n_bootstrap(n_bootstrap)
     config = config or FitConfig()
     stage1 = fit_stage1(counts, config)
     if not n_bootstrap:
         return fit_stage2(counts, stage1, config)
-    best, g_err, d_err = _bootstrap_batch(counts, n_bootstrap, seed, stage1, config)
-    return replace(_stage2_result(stage1, best[:, 0]), g_error=g_err, distance_error=d_err)
+    stacked, shots, distances = _draw_resamples(counts, n_bootstrap, seed)
+    best = _fit_stage2_batch(stacked, shots, stage1, config)
+    return replace(
+        _stage2_result(stage1, best[:, 0]),
+        g_error=float(np.std(best[1, 1:], ddof=1)),
+        distance_error=float(np.std(distances, ddof=1)),
+    )

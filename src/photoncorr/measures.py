@@ -94,13 +94,28 @@ def mean_interior_ratio(ratio: np.ndarray) -> float:
     return float(interior[mask].mean())
 
 
+def _normalized_spectra(matrices: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix over the last two axes, normalized to unit square sum.
+
+    Leading axes stack matrices; a stack is one batched SVD, and each of
+    its spectra is bitwise that of its matrix alone.
+    """
+    s = np.linalg.svd(matrices, compute_uv=False)
+    norm = np.sqrt((s * s).sum(axis=-1, keepdims=True))
+    if not norm.all():
+        raise ValueError("cannot normalize the spectrum of a zero matrix")
+    return s / norm
+
+
+def _tail_norms(spectra: np.ndarray) -> np.ndarray:
+    """``sqrt(s_2^2 + ... + s_n^2)`` of each normalized spectrum over the last axis."""
+    tail = spectra[..., 1:]
+    return np.sqrt((tail * tail).sum(axis=-1))
+
+
 def singular_spectrum(joint: JointDistribution) -> SingularSpectrum:
     """Singular values of the probability matrix, normalized to unit square sum."""
-    s = np.linalg.svd(joint.probs, compute_uv=False)
-    norm = np.sqrt((s * s).sum())
-    if norm == 0.0:
-        raise ValueError("cannot normalize the spectrum of a zero matrix")
-    return SingularSpectrum(values=s / norm)
+    return SingularSpectrum(values=_normalized_spectra(joint.probs))
 
 
 def product_distance(spectrum: SingularSpectrum) -> float:
@@ -110,8 +125,7 @@ def product_distance(spectrum: SingularSpectrum) -> float:
     normalized spectrum; the explicit sum over the subdominant values is
     numerically robust when s_1 is close to 1.
     """
-    tail = spectrum.values[1:]
-    return float(np.sqrt((tail * tail).sum()))
+    return float(_tail_norms(spectrum.values))
 
 
 def lee_criterion(m: Moments) -> tuple[bool, float]:

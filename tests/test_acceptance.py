@@ -30,7 +30,7 @@ from photoncorr import (
     simulate,
     singular_spectrum,
 )
-from photoncorr.inference import FitConfig, bootstrap
+from photoncorr.inference import FitConfig, fit_counts
 from photoncorr.io import counts_to_text
 from photoncorr.montecarlo import total_variation
 
@@ -196,7 +196,7 @@ def test_criterion_8_bootstrap_scaling():
             SimConfig(SourceParams(PAPER_MEAN, 0.0), PAPER_DET_H, PAPER_DET_V,
                       shots=shots, seed=77, n_max=12)
         )
-        _, errors[shots] = bootstrap(counts, 100, seed=42, config=config)
+        errors[shots] = fit_counts(counts, config, n_bootstrap=100, seed=42).distance_error
     first = errors[10 ** 4] / errors[10 ** 5]
     second = errors[10 ** 5] / errors[10 ** 6]
     for ratio in (first, second):
@@ -220,7 +220,7 @@ def test_criterion_9_determinism():
                       shots=50_000, seed=5, n_max=10)
     counts = simulate(small)
     boot_config = FitConfig(n_max=40)
-    assert (bootstrap(counts, 4, seed=9, config=boot_config)
-            == bootstrap(counts, 4, seed=9, config=boot_config))
+    assert (fit_counts(counts, boot_config, n_bootstrap=4, seed=9)
+            == fit_counts(counts, boot_config, n_bootstrap=4, seed=9))
     print("criterion 9 (determinism): PASS  byte-identical across reruns "
           "and worker counts; bootstrap reproducible")

@@ -20,7 +20,6 @@ from photoncorr import (
     Stage1Result,
     after_loss_channel,
     apply_two_mode,
-    bootstrap,
     fit_stage1,
     fit_stage2,
     mixture_joint,
@@ -480,26 +479,38 @@ class TestReconstruct:
         assert total_variation(recon.probs, truth.probs) <= 0.02
 
 
+def resample_batch(counts, n_resamples, seed, stage1, config):
+    """The stage-2 batch of ``fit_counts``' bootstrap, with a given stage 1."""
+    stacked, shots, _ = inference._draw_resamples(counts, n_resamples, seed)
+    return inference._fit_stage2_batch(stacked, shots, stage1, config)
+
+
+def resample_by_the_total(counts, rng):
+    """``poisson_resample``'s draw under a rule that redraws only while the
+    total, overflow included, is zero: the cells and the overflow, or None."""
+    for _ in range(100):
+        cells, overflow = rng.poisson(counts.counts), int(rng.poisson(counts.overflow))
+        if int(cells.sum()) + overflow > 0:
+            return cells, overflow
+    return None
+
+
 class TestBootstrap:
     def make_counts(self):
         return simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
 
     def test_too_few_resamples_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap(self.make_counts(), 1, seed=0)
+            fit_counts(self.make_counts(), n_bootstrap=1, seed=0)
 
     def test_deterministic_given_seed(self):
         counts = self.make_counts()
         config = FitConfig(n_max=40)
-        first = bootstrap(counts, 4, seed=3, config=config)
-        second = bootstrap(counts, 4, seed=3, config=config)
+        first = fit_counts(counts, config, n_bootstrap=4, seed=3)
+        second = fit_counts(counts, config, n_bootstrap=4, seed=3)
         assert first == second
-        third = bootstrap(counts, 4, seed=4, config=config)
-        assert third != first
-
-    def test_errors_nonnegative(self):
-        g_err, d_err = bootstrap(self.make_counts(), 4, seed=1, config=FitConfig())
-        assert g_err >= 0.0 and d_err >= 0.0
+        third = fit_counts(counts, config, n_bootstrap=4, seed=4)
+        assert (third.g_error, third.distance_error) != (first.g_error, first.distance_error)
 
     def test_exhausted_budget_raises(self):
         # A resample whose stage-2 search runs out of budget fails the
@@ -507,7 +518,7 @@ class TestBootstrap:
         counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 3, 12)
         stage1 = fit_stage1(counts, FitConfig())
         with pytest.raises(FitConvergenceError):
-            bootstrap(counts, 4, 1, FitConfig(max_iterations=1), stage1)
+            resample_batch(counts, 4, 1, stage1, FitConfig(max_iterations=1))
 
     def test_identical_streams_give_zero_spread(self):
         # Degenerate determinism check: two resamples drawn from the
@@ -536,31 +547,52 @@ class TestBootstrap:
     def test_stacked_draws_are_the_resamples(self, n_max, cells, overflow, seed):
         # Sparse histograms and overflow included: the stacked draw holds
         # the counts, then every resample of its own stream, and the batched
-        # spectrum gives each resample's product distance bitwise. A
-        # resample with every cell empty has no spectrum, and both reject it.
+        # spectrum gives each resample's product distance bitwise. Counts
+        # with every in-range cell empty cannot be resampled; otherwise no
+        # resample has every cell empty.
         dim = n_max + 1
         cells = np.array(cells[: dim * dim]).reshape(dim, dim)
         assume(cells.sum() + overflow > 0)
         counts = CountsMatrix(n_max, cells, int(cells.sum()) + overflow, overflow)
-        draws = [poisson_resample(counts, _stream_rng(seed, r)) for r in range(5)]
-        try:
-            want = [product_distance(singular_spectrum(normalize(x))) for x in draws]
-        except ValueError:
-            with pytest.raises(ValueError, match="zero matrix"):
+        if not cells.any():
+            with pytest.raises(ValueError, match="too sparse"):
                 inference._draw_resamples(counts, 5, seed)
             return
+        draws = [poisson_resample(counts, _stream_rng(seed, r)) for r in range(5)]
+        assert all(x.counts.any() for x in draws)
+        want = [product_distance(singular_spectrum(normalize(x))) for x in draws]
         stacked, shots, distances = inference._draw_resamples(counts, 5, seed)
         assert stacked.tolist() == [x.counts.tolist() for x in [counts, *draws]]
         assert shots.tolist() == [x.shots for x in [counts, *draws]]
         assert distances.tolist() == want
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        cells=st.lists(st.sampled_from([0, 0, 0, 0, 1, 2]), min_size=4, max_size=4),
+        overflow=st.sampled_from([0, 1, 5, 30]),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_resample_redraws_only_empty_cells(self, cells, overflow, seed):
+        # Wherever a rule that redraws only an empty total would keep a
+        # draw with in-range counts, the resample is that draw; where it
+        # would keep one with overflow alone, the resample has counts.
+        cells = np.array(cells).reshape(2, 2)
+        assume(cells.any())
+        counts = CountsMatrix(1, cells, int(cells.sum()) + overflow, overflow)
+        for r in range(5):
+            old = resample_by_the_total(counts, _stream_rng(seed, r))
+            new = poisson_resample(counts, _stream_rng(seed, r))
+            assert new.counts.any()
+            if old is not None and old[0].any():
+                assert new.counts.tolist() == old[0].tolist() and new.overflow == old[1]
+
     def test_distance_error_is_that_of_the_resamples(self):
-        # A sparse histogram with overflow, fitted with a fixed stage 1.
+        # A sparse histogram with overflow.
         counts = CountsMatrix(3, [[40, 3, 0, 0], [2, 5, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], 60, 7)
-        stage1 = Stage1Result(0.3, 0.3, 0.01, 0.01, 0.0, 0.0, 0.0)
         draws = [poisson_resample(counts, _stream_rng(4, r)) for r in range(6)]
         want = np.std([product_distance(singular_spectrum(normalize(x))) for x in draws], ddof=1)
-        assert bootstrap(counts, 6, 4, FitConfig(n_max=20), stage1)[1] == float(want)
+        fit = fit_counts(counts, FitConfig(n_max=20), n_bootstrap=6, seed=4)
+        assert fit.distance_error == float(want)
 
     def test_stage1_fit_once(self, monkeypatch):
         calls = []
@@ -579,17 +611,20 @@ class TestBootstrap:
         assert fit.g_error is not None and fit.g_error >= 0.0
         assert fit.distance_error is not None and fit.distance_error >= 0.0
 
-    def test_fit_counts_is_its_fit_and_bootstrap(self):
+    def test_fit_counts_is_the_fits_alone(self):
         # fit_counts fits the counts as row 0 of the bootstrap's batch, and
-        # a row is bitwise its fit alone.
+        # a row is bitwise its fit alone: the fit is the counts' fit_stage2,
+        # and g_error the spread of the resamples' fits with its stage 1.
         counts = self.make_counts()
         config = FitConfig(n_max=40)
         stage1 = fit_stage1(counts, config)
-        g_err, d_err = bootstrap(counts, 5, 2, config, stage1)
-        alone = dataclasses.replace(
-            fit_stage2(counts, stage1, config), g_error=g_err, distance_error=d_err
+        draws = [poisson_resample(counts, _stream_rng(2, r)) for r in range(5)]
+        g_err = np.std([fit_stage2(x, stage1, config).source.correlation for x in draws], ddof=1)
+        fit = fit_counts(counts, config, n_bootstrap=5, seed=2)
+        assert fit.g_error == float(g_err)
+        assert dataclasses.replace(fit, g_error=None, distance_error=None) == fit_stage2(
+            counts, stage1, config
         )
-        assert fit_counts(counts, config, n_bootstrap=5, seed=2) == alone
 
     def test_fit_counts_carries_stage1(self):
         counts = self.make_counts()
@@ -766,7 +801,7 @@ class TestStage2Batch:
             passes = max(
                 calls_to(terms, fit_stage2, x, stage1, config) - 1 for x in [counts, *resamples]
             )
-            builds = calls_to(factors, bootstrap, counts, n_resamples, 3, config, stage1)
+            builds = calls_to(factors, resample_batch, counts, n_resamples, 3, stage1, config)
             assert builds == 2 * (1 + passes), n_resamples
 
     def test_search_takes_few_evaluations(self):
@@ -821,7 +856,7 @@ class TestStage2Batch:
         short = dataclasses.replace(config, max_iterations=budget)
         assert fit_stage2(counts, stage1, short) == fit_stage2(counts, stage1, config)
         with pytest.raises(FitConvergenceError) as excinfo:
-            bootstrap(counts, len(resamples), 2, short, stage1)
+            resample_batch(counts, len(resamples), 2, stage1, short)
         assert excinfo.value.row == late[0]
         assert f"search of resample {late[0]} did not converge" in str(excinfo.value)
         row = stage2_batch([resamples[late[0] - 1]], stage1, config)[:, 0]

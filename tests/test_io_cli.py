@@ -319,6 +319,17 @@ class TestFitCommand:
         assert code == 0
         assert len(calls) == 1
 
+    def test_bootstrap_of_sparse_counts(self, tmp_path):
+        # Resamples of these counts often keep the overflow alone; each is
+        # drawn again until it has in-range counts, so the bootstrap runs.
+        path = str(tmp_path / "counts.csv")
+        write_counts(CountsMatrix(2, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], 9, 5), path)
+        for seed in range(4):
+            out = tmp_path / f"fit{seed}"
+            assert main(["fit", path, "--bootstrap", "100", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            assert read_json(out / "fit.json")["distance_error"] >= 0.0
+
     def test_weighting_key_ignored(self, tmp_path):
         # Configs written for earlier versions carry a "weighting" key.
         config, counts_path = self.make_counts_file(tmp_path)
