@@ -512,6 +512,10 @@ class TestBootstrap:
         third = fit_counts(counts, config, n_bootstrap=4, seed=4)
         assert (third.g_error, third.distance_error) != (first.g_error, first.distance_error)
 
+    def test_errors_nonnegative(self):
+        fit = fit_counts(self.make_counts(), FitConfig(), n_bootstrap=4, seed=1)
+        assert fit.g_error >= 0.0 and fit.distance_error >= 0.0
+
     def test_exhausted_budget_raises(self):
         # A resample whose stage-2 search runs out of budget fails the
         # bootstrap; its best-so-far g does not stand in for a fit.
