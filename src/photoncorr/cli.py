@@ -77,7 +77,7 @@ def _params(cls, block, what: str):
 
     A missing key takes the field's default, and is a ConfigError if the
     field has none. Unknown keys are ignored: configs written for earlier
-    versions carry a "weighting" key in their "fit" block.
+    versions carry "weighting" and "n_max" keys in their "fit" block.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"config key {what!r} must be an object, got {block!r}")
@@ -157,11 +157,14 @@ def fit_result_dict(fit: FitResult) -> dict:
     return {
         "mean_photons": fit.source.mean_photons,
         "correlation": fit.source.correlation,
+        "nu": fit.nu,
+        "at_bound": fit.at_bound,
         "detector_h": dataclasses.asdict(fit.det_h),
         "detector_v": dataclasses.asdict(fit.det_v),
         "residual": fit.residual,
         "g_error": fit.g_error,
         "distance_error": fit.distance_error,
+        "nu_error": fit.nu_error,
         "stage1": dataclasses.asdict(fit.stage1),
     }
 
@@ -241,9 +244,10 @@ def cmd_fit(args) -> int:
         },
         seed, inputs=[args.counts], outputs=outputs, started=started,
     )
+    bound = f" (on a bound: {', '.join(fit.at_bound)})" if fit.at_bound else ""
     print(
         f"fitted g={fit.source.correlation:.4f} mean={fit.source.mean_photons:.4f} "
-        f"-> {fit_path}"
+        f"nu={fit.nu:.4f}{bound} -> {fit_path}"
     )
     return EXIT_OK
 
@@ -283,11 +287,12 @@ def cmd_sweep(args) -> int:
         fit = fit_counts(counts, fit_cfg, n_bootstrap=args.bootstrap, seed=sim.seed)
         rows.append(
             (sim.source.correlation, gamma, report.mean_interior_ratio, report.product_distance,
-             fit.source.correlation, fit.g_error, fit.distance_error)
+             fit.source.correlation, fit.g_error, fit.distance_error, fit.nu, fit.nu_error)
         )
     os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")
-    lines = ["g_true,gamma,mean_interior_ratio,product_distance,g_fitted,g_error,distance_error"]
+    lines = ["g_true,gamma,mean_interior_ratio,product_distance,g_fitted,g_error,distance_error,"
+             "nu_fitted,nu_error"]
     for row in rows:
         lines.append(",".join("" if v is None else repr(float(v)) for v in row))
     atomic_write_text(sweep_path, "\n".join(lines) + "\n")

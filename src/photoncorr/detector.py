@@ -26,8 +26,12 @@ one per law, so the module needs only numpy: the Poisson kernel from a
 table of log-factorials per dimension, and the two binomial-thinning
 kernels, loss and crosstalk, from one table of exact binomial
 coefficients per dimension, times powers of the thinning probability
-and of its complement (``_loss_factors``). Crosstalk is loss at
+and of its complement (``loss_matrix``). Crosstalk is loss at
 efficiency ``crosstalk``, shifted down by the fired cells.
+
+The fit builds no loss matrix: loss maps a thermal mode, and the twin
+thermal source, to closed forms (see ``inference``), so it needs only
+the after-loss part of the channel.
 """
 
 from __future__ import annotations
@@ -78,51 +82,33 @@ def _binom_table(dim: int) -> np.ndarray:
     return table
 
 
-def _loss_factors(efficiencies, n: int, n_out: int, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``0 .. n_out`` (``n_out <= n``) of the loss matrix on ``0 .. n``, as two factors.
-
-    The matrix of efficiency ``eta`` is ``keep[:, None] * lose``, with
-    ``keep[m] = eta^m`` and ``lose[m, k] = C(k, m) (1-eta)^(k-m)``: the
-    exact binomial table times a Toeplitz matrix in ``k - m``, read as a
-    strided view of one padded vector of the powers of ``1-eta``, so an
-    efficiency costs ``n_out + n + 1`` exps. Every factor but ``C`` is at
-    most 1, so nothing overflows, even where ``1-eta`` is tiny. The
-    factors of a sequence of efficiencies are stacked along a leading
-    axis, each bitwise those of the efficiency alone. ``lose`` is written
-    to the leading rows of ``out`` if one is given, so a caller that
-    builds factors pass after pass reuses one array.
-    """
-    etas = np.asarray(efficiencies, dtype=float).tolist()
-    if not all(0.0 < eta <= 1.0 for eta in etas):
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiencies}")
-    # Scalar logs, as in the closed form (numpy's can differ in the last
-    # bit). At efficiency 1 every power of 1-eta past the 0th is exp(-inf) = 0.
-    log_keep = np.array([math.log(eta) for eta in etas])[:, None]
-    log_lose = np.array([math.log1p(-eta) if eta < 1.0 else -math.inf for eta in etas])
-    keep = np.exp(np.arange(n_out + 1) * log_keep)
-    # n_out zeros, then (1-eta)^j for j = 0 .. n. Row m of the view starts
-    # m places before the 0th power.
-    powers = np.zeros((len(efficiencies), n_out + n + 1))
-    powers[:, n_out] = 1.0
-    powers[:, n_out + 1 :] = np.exp(np.arange(1, n + 1) * log_lose[:, None])
-    step = powers.itemsize
-    toeplitz = np.lib.stride_tricks.as_strided(
-        powers[:, n_out:], (len(efficiencies), n_out + 1, n + 1), (powers.strides[0], -step, step)
-    )
-    lose = None if out is None else out[: len(etas)]
-    return keep, np.multiply(_binom_table(n + 1)[: n_out + 1], toeplitz, out=lose)
-
-
 def loss_matrix(efficiency: float, n: int) -> np.ndarray:
     """Binomial-thinning loss channel on photon numbers ``0 .. n``.
 
     ``entry[m, k] = C(k, m) eta^m (1-eta)^(k-m)`` for m <= k, an
-    ``(n+1, n+1)`` matrix: ``keep[:, None] * lose`` from ``_loss_factors``,
-    the one loss kernel. Loss never raises the count, so every column
-    sums to 1, and efficiency 1 gives the exact identity.
+    ``(n+1, n+1)`` matrix, built as ``keep[:, None] * lose`` with
+    ``keep[m] = eta^m`` and ``lose[m, k] = C(k, m) (1-eta)^(k-m)``: the
+    exact binomial table times a Toeplitz matrix in ``k - m``, read as a
+    strided view of one padded vector of the powers of ``1-eta``, so the
+    matrix costs ``2n + 1`` exps. Every factor but ``C`` is at most 1, so
+    nothing overflows, even where ``1-eta`` is tiny. Loss never raises
+    the count, so every column sums to 1, and efficiency 1 gives the
+    exact identity.
     """
-    keep, lose = _loss_factors([efficiency], n, n)
-    return keep[0, :, None] * lose[0]
+    if not (0.0 < efficiency <= 1.0):
+        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
+    # Scalar logs, as in the closed form (numpy's can differ in the last
+    # bit). At efficiency 1 every power of 1-eta past the 0th is exp(-inf) = 0.
+    log_lose = math.log1p(-efficiency) if efficiency < 1.0 else -math.inf
+    keep = np.exp(np.arange(n + 1) * math.log(efficiency))
+    # n zeros, then (1-eta)^j for j = 0 .. n. Row m of the view starts m
+    # places before the 0th power.
+    powers = np.zeros(2 * n + 1)
+    powers[n] = 1.0
+    powers[n + 1 :] = np.exp(np.arange(1, n + 1) * log_lose)
+    step = powers.itemsize
+    toeplitz = np.lib.stride_tricks.as_strided(powers[n:], (n + 1, n + 1), (-step, step))
+    return keep[:, None] * (_binom_table(n + 1) * toeplitz)
 
 
 def _poisson_pmf(mean: float, k_max: int) -> np.ndarray:
@@ -194,25 +180,25 @@ def after_loss_channel(
 
 
 def _after_loss_derivatives(
-    dark_mean: float, crosstalk: float, n_in: int, n_out: int
+    dark_mean: float, crosstalk: float, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``after_loss_channel`` and its derivatives in the dark mean and the crosstalk.
+    """``after_loss_channel`` on ``0 .. n`` and its derivatives in the dark mean and the crosstalk.
 
     The Poisson pmf's derivative in its mean is ``p(k-1) - p(k)``, so the
     dark matrix's is itself shifted down one row, minus itself. A
     crosstalk column is Binomial(n, eps) at ``m - n``, whose derivative
     ``n (X[m-2, n-1] - X[m-1, n-1])`` reads two shifted copies of the
     crosstalk matrix ``X``. Row ``m`` of either reads only rows up to ``m``,
-    so both are exact under the ``n_out`` truncation, as the channel is.
+    so both are exact under the truncation at ``n``, as the channel is.
     """
-    xtalk = crosstalk_matrix(crosstalk, n_out, n_out)
-    dark = dark_matrix(dark_mean, n_in, n_out)
+    xtalk = crosstalk_matrix(crosstalk, n)
+    dark = dark_matrix(dark_mean, n)
     d_dark = -dark
     d_dark[1:] += dark[:-1]
     d_xtalk = np.zeros_like(xtalk)
     d_xtalk[2:, 1:] = xtalk[:-2, :-1]
     d_xtalk[1:, 1:] -= xtalk[:-1, :-1]
-    d_xtalk *= np.arange(n_out + 1)
+    d_xtalk *= np.arange(n + 1)
     return xtalk @ dark, xtalk @ d_dark, d_xtalk @ dark
 
 

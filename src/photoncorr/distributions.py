@@ -108,20 +108,14 @@ def _thermal_tail(mean: float, n_max: int) -> float:
     return math.exp((n_max + 1) * (math.log(mean) - math.log1p(mean)))
 
 
-def _thermal_probs(mean, n_max: int) -> np.ndarray:
-    """Thermal probabilities at ``0 .. n_max``, computed in logs; arguments unchecked.
-
-    A 1-D array of positive means gives one row per mean, each bitwise the
-    probabilities of that mean alone.
-    """
-    if np.ndim(mean) == 0 and mean == 0.0:
+def _thermal_probs(mean: float, n_max: int) -> np.ndarray:
+    """Thermal probabilities at ``0 .. n_max``, computed in logs; arguments unchecked."""
+    if mean == 0.0:
         probs = np.zeros(n_max + 1)
         probs[0] = 1.0
         return probs
-    shape, means = np.shape(mean) + (1,), np.ravel(mean).tolist()
-    log1p = np.reshape([math.log1p(x) for x in means], shape)
-    log_q = np.reshape([math.log(x) for x in means], shape) - log1p
-    return np.exp(np.arange(n_max + 1) * log_q - log1p)
+    log1p = math.log1p(mean)
+    return np.exp(np.arange(n_max + 1) * (math.log(mean) - log1p) - log1p)
 
 
 def thermal_pmf(mean: float, n_max: int) -> Marginal:

@@ -23,19 +23,20 @@ component, ``B`` the detected product), so ``g`` is profiled out in
 closed form and only the mean is searched (variable projection): a
 12-point log-spaced grid, then a Brent search (parabolic steps, with
 golden-section steps as the safeguard) around every local minimum on
-it. ``A`` and ``B`` depend on stage 1 and the mean but not on the
-histogram, so many histograms with one stage 1 are fitted in one batch:
-each step of the search builds the terms at the points of all of them
-in one vectorised pass. Each mode's loss matrix enters the terms as its
-two factors (``detector._loss_factors``), so a pass takes O(n) exps per
-point and mode, not one per loss-matrix entry. A batch is arrays from
-end to end: it takes the histograms stacked into one ``(rows, n, n)``
-array with their shots, keeps each search's state as arrays over the
-running searches, and returns the best ``(objective, g, log mean)`` of
-every row as one array. ``fit_counts`` with a bootstrap fits the counts
-and all the resamples in one batch, the counts as row 0, and only that
-row becomes a ``FitResult``; a single fit is the batch of one. A batch's
-rows are bitwise their fits alone, and nothing is memoised between fits.
+it. Neither term is cut off in photon number: ``B`` is the product of
+stage 1's detected thermal marginals, built once per fit, and ``A`` an
+all-positive recurrence on the histogram's range (``_correlated_term``).
+``A`` does not depend on the histogram, so many histograms with one
+stage 1 are fitted in one batch: each step of the search builds it at
+the points of all of them in one vectorised pass. A batch takes the
+histograms stacked into one ``(rows, n, n)`` array, keeps each search's
+state as arrays over the running searches, and returns the best
+``(objective, g, log mean)`` of every row as one array. ``fit_counts``
+fits the counts and all the bootstrap resamples in one batch, the counts
+as row 0; a single fit is the batch of one. A batch's rows are bitwise
+their fits alone. At low efficiency the data pin ``nu = g (1 + 1/mean)``
+(``FitResult.nu``) far better than ``g`` or the mean, and a fit that
+ends on a bound says so (``FitResult.at_bound``).
 
 ``fit_counts`` is the one entry to the bootstrap. Its uncertainties
 assume Poissonian counting noise: every cell is replaced by an
@@ -55,27 +56,28 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .detector import DetectorParams, _after_loss_derivatives, _loss_factors, after_loss_channel
+from .detector import DetectorParams, _after_loss_derivatives, after_loss_channel
 from .distributions import JointDistribution, SourceParams, _thermal_probs, mixture_joint
 from .measures import _normalized_spectra, _tail_norms
 from .montecarlo import CountsMatrix, _stream_rng, normalize
 
 _DARK_MAX = 5.0
 _XTALK_MAX = 0.45
-# The stage-2 profile over the source mean can have two basins (at the
-# reference detectors, one at mean 0.1-1 and one at 4-5, either of which
-# may be the deeper), so the mean is first evaluated on this many
-# log-spaced points and a bounded search runs around every local minimum.
+# The stage-2 profile over the source mean can have more than one local
+# minimum, so the mean is first evaluated on this many log-spaced points
+# and a bounded search runs around every local minimum.
 _MEAN_GRID_POINTS = 12
+# The upper end of the stage-2 search over the source mean, unless twice
+# the larger detected mean is higher: a fit at an infinite mean would have
+# efficiency 0, which no DetectorParams can hold.
+_MEAN_CAP = 40.0 / 3.0
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Solver settings shared by both fit stages.
 
-    ``n_max`` is the photon-number truncation of the model distribution
-    before the detector channel (the histogram's own range sets the
-    output truncation). ``max_iterations`` caps each solver run: the
+    ``max_iterations`` caps each solver run: the
     stage-1 residual evaluations and the evaluations of each stage-2 mean
     search, the grid before it not counted. ``convergence_tol`` is the
     relative tolerance at which the solvers stop: stage 1 when a step
@@ -86,15 +88,12 @@ class FitConfig:
 
     max_iterations: int = 4000
     convergence_tol: float = 1e-14
-    n_max: int = 40
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0.0 < self.convergence_tol < math.inf):
             raise ValueError(f"convergence_tol must be finite and > 0, got {self.convergence_tol}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,8 @@ class FitResult:
     """Full fitted model with optional bootstrap uncertainties.
 
     ``stage1`` is the stage-1 fit whose detected means, darks and
-    crosstalk the model holds fixed.
+    crosstalk the model holds fixed. ``at_bound`` names ``mean_photons``
+    at an end of its search range and ``correlation`` at 0 or 1.
     """
 
     source: SourceParams
@@ -131,6 +131,13 @@ class FitResult:
     stage1: Stage1Result
     g_error: float | None = None
     distance_error: float | None = None
+    nu_error: float | None = None
+    at_bound: tuple[str, ...] = ()
+
+    @property
+    def nu(self) -> float:
+        """``g (1 + 1/mean)``, the source's ``Cov(n_h, n_v) / (<n_h> <n_v>)``; loss keeps it."""
+        return self.source.correlation * (1.0 + 1.0 / self.source.mean_photons)
 
 
 class FitConvergenceError(RuntimeError):
@@ -158,23 +165,20 @@ def _weights(counts: np.ndarray) -> np.ndarray:
 
 
 def _detected_marginal_jacobian(
-    detected_mean: float,
-    dark: float,
-    xtalk: float,
-    n_model: int,
-    n_out: int,
+    detected_mean: float, dark: float, xtalk: float, n_out: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """A thermal mode with the loss already absorbed, then darks and crosstalk.
 
     Returns the detected marginal and its ``(n_out+1, 3)`` derivative in
-    the first three arguments. The truncated thermal
+    the first three arguments. The thermal
     ``t_n = mean^n / (1+mean)^(n+1)`` has derivative
-    ``t_n (n/mean - (n+1)/(1+mean))``.
+    ``t_n (n/mean - (n+1)/(1+mean))``. The after-loss channel has zero
+    columns past ``n_out``, so ``t`` to ``n_out`` is exact.
     """
-    t = _thermal_probs(detected_mean, n_model)
-    n = np.arange(n_model + 1)
+    t = _thermal_probs(detected_mean, n_out)
+    n = np.arange(n_out + 1)
     dt = t * (n / detected_mean - (n + 1) / (1.0 + detected_mean))
-    chan, d_dark, d_xtalk = _after_loss_derivatives(dark, xtalk, n_model, n_out)
+    chan, d_dark, d_xtalk = _after_loss_derivatives(dark, xtalk, n_out)
     return chan @ t, np.column_stack([chan @ dt, d_dark @ t, d_xtalk @ t])
 
 
@@ -250,13 +254,12 @@ def fit_stage1(
     target = np.outer(emp_h, emp_v)
     sqrt_w = np.sqrt(_weights(counts.counts))
     n_out = counts.n_max
-    n_model = config.n_max
     best = math.inf
 
     def evaluate(x):
         nonlocal best
         (marg_h, jac_h), (marg_v, jac_v) = (
-            _detected_marginal_jacobian(*x[mode::2], n_model, n_out) for mode in (0, 1)
+            _detected_marginal_jacobian(*x[mode::2], n_out) for mode in (0, 1)
         )
         r = (sqrt_w * (np.outer(marg_h, marg_v) - target)).ravel()
         best = min(best, float(r @ r))
@@ -299,44 +302,62 @@ def _mean_of(marginal: np.ndarray) -> float:
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # the share of the larger segment a golden step takes
 
 
-def _stage2_terms(
-    stage1: Stage1Result, log_means: np.ndarray, n_model: int, after_loss, lose=(None, None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """The stage-2 model at each mean is ``product + g * slope``, stacked.
+def _log_mean_range(stage1: Stage1Result) -> tuple[float, float]:
+    """The ends of the stage-2 search in ``log(mean)``: above both detected means, to the cap."""
+    mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
+    return math.log(mean_lo), math.log(max(_MEAN_CAP, mean_lo * 2.0))
 
-    ``product`` is the detected product of the thermal marginals and
-    ``slope`` the correlated (diagonal) source term, detected, minus it.
-    Neither depends on the histogram. Each mode's loss matrix enters as
-    its factors ``keep[..., None] * lose`` (``_loss_factors``), so the
-    correlated term is ``C_h diag(keep_h) (lose_h diag(t) lose_v.T)
-    diag(keep_v) C_v.T``, with ``C`` the after-loss channels. Every
-    product is a per-row stacked matmul, so each row is bitwise the same
-    as in a batch of one. ``lose`` holds each mode's array for its loss
-    factor (``_loss_factors``' ``out``), which the terms overwrite.
+
+def _product_term(stage1: Stage1Result, after_loss) -> np.ndarray:
+    """``outer(C_h t(d_h), C_v t(d_v))``, whatever the source mean.
+
+    Loss maps a thermal mode to the thermal ``t`` of its detected mean
+    ``d``. The after-loss channels ``C`` have zero columns past the output
+    range, so ``t`` to it is exact.
     """
-    means = np.array([math.exp(u) for u in log_means.tolist()])
-    # The after-loss channels have zero columns past the output range, so
-    # only that many rows of each loss matrix are built.
-    (keep_h, lose_h), (keep_v, lose_v) = (
-        _loss_factors(np.minimum(detected / means, 1.0), n_model, chan.shape[1] - 1, out)
-        for chan, detected, out in zip(
-            after_loss, (stage1.detected_mean_h, stage1.detected_mean_v), lose
-        )
+    marg_h, marg_v = (
+        chan @ _thermal_probs(detected, chan.shape[1] - 1)
+        for chan, detected in zip(after_loss, (stage1.detected_mean_h, stage1.detected_mean_v))
     )
+    return np.outer(marg_h, marg_v)
+
+
+def _correlated_term(stage1: Stage1Result, log_means: np.ndarray, after_loss) -> np.ndarray:
+    """The detected correlated term ``C_h p C_v.T`` at each mean, stacked.
+
+    ``p``, the twin thermal source of mean ``mu`` after loss, has the
+    generating function ``1/(A - B s - C t - E s t)``, with
+    ``A = 1 + mu - mu (1-eta_h)(1-eta_v)``, ``B = mu eta_h (1-eta_v)``,
+    ``C = mu (1-eta_h) eta_v`` and ``E = mu eta_h eta_v``, written here in
+    the detected means ``d = mu eta``. So ``A p[i, j] = B p[i-1, j] +
+    C p[i, j-1] + E p[i-1, j-1]`` and ``p[0, 0] = 1/A``: row 0 is
+    ``c^j / A``, and row ``i`` is row ``i-1`` times the Toeplitz matrix of
+    the series of ``(b + e t) / (1 - c t)`` (lower-case: over ``A``). Every
+    term is positive, so nothing cancels. Each step is elementwise or a
+    per-point matmul, so a point is bitwise the same in any batch.
+    """
+    n = after_loss[0].shape[1] - 1
+    x = np.array([math.exp(-u) for u in log_means.tolist()])[:, None]  # 1 / mean
+    d_h, d_v = stage1.detected_mean_h, stage1.detected_mean_v
+    a = 1.0 + d_h + d_v - d_h * d_v * x
+    b, c, e = d_h * (1.0 - d_v * x) / a, d_v * (1.0 - d_h * x) / a, d_h * d_v * x / a
+    powers = np.ones((x.size, n + 1))
+    powers[:, 1:] = c
+    np.cumprod(powers, axis=1, out=powers)
+    # n zeros, then the series: b, then c^(m-1) (e + b c). Row j of the
+    # Toeplitz matrix reads it backwards from term j into the zeros.
+    series = np.zeros((x.size, 2 * n + 1))
+    series[:, n] = b[:, 0]
+    series[:, n + 1 :] = powers[:, :-1] * (e + b * c)
+    windows = np.lib.stride_tricks.sliding_window_view(series, n + 1, axis=1)
+    toeplitz = np.ascontiguousarray(windows[..., ::-1])
+    # p[i] holds row i of every point's p, as a column.
+    p = np.empty((n + 1, x.size, n + 1, 1))
+    p[0, :, :, 0] = powers / a
+    for i in range(1, n + 1):
+        np.matmul(toeplitz, p[i - 1], out=p[i])
     ch, cv = after_loss
-    t = _thermal_probs(means, n_model)[:, :, None]
-    marg_h = ch @ (keep_h[..., None] * (lose_h @ t))
-    marg_v = cv @ (keep_v[..., None] * (lose_v @ t))
-    product = marg_h * marg_v.transpose(0, 2, 1)
-    # In place where a factor is spent: a fresh 0.4 MB array per pass costs
-    # more in page faults than its arithmetic.
-    lose_h *= t.transpose(0, 2, 1)
-    joint = lose_h @ lose_v.transpose(0, 2, 1)
-    joint *= keep_h[..., None]
-    joint *= keep_v[:, None, :]
-    slope = ch @ joint @ cv.T
-    slope -= product
-    return product, slope
+    return ch @ np.ascontiguousarray(p[..., 0].transpose(1, 0, 2)) @ cv.T
 
 
 def _keep_first_best(best, rows, values, g, log_means) -> None:
@@ -371,36 +392,27 @@ def _fit_stage2_batch(
     budget raises FitConvergenceError naming its row: row 0 is "the
     counts" and row ``k`` "resample k", the layout of ``fit_counts``.
     """
-    emp = counts / shots[:, None, None]
     weights = _weights(counts)
-    n_out, n_model = counts.shape[-1] - 1, config.n_max
     after_loss = [
-        after_loss_channel(dark, xtalk, min(n_out, n_model), n_out)
+        after_loss_channel(dark, xtalk, counts.shape[-1] - 1)
         for dark, xtalk in ((stage1.dark_h, stage1.xtalk_h), (stage1.dark_v, stage1.xtalk_v))
     ]
+    product = _product_term(stage1, after_loss)
+    # What g times the slope must fit: the data less the product term.
+    target = counts / shots[:, None, None] - product
     best = np.full((3, len(counts)), math.inf)  # objective, g, log(mean)
-    scratch = np.empty((2, 0) + counts.shape[1:])
 
-    def evaluate(rows, log_means, product, slope):
+    def evaluate(rows, log_means, slope):
         """The objective at each point, minimized over g in closed form."""
-        nonlocal scratch
-        if scratch.shape[1] < rows.size:
-            scratch = np.empty((2, rows.size) + counts.shape[1:])
-        e, wr = emp[rows], weights[rows]
-        w_slope, work = scratch[:, : rows.size]
-        np.multiply(wr, slope, out=w_slope)
-        curvature = np.multiply(w_slope, slope, out=work).sum(axis=(-2, -1))
-        np.subtract(e, product, out=work)
+        wr, t = weights[rows], target[rows]
+        w_slope = wr * slope
+        curvature = (w_slope * slope).sum(axis=(-2, -1))
         g = np.divide(
-            np.multiply(w_slope, work, out=work).sum(axis=(-2, -1)), curvature,
+            (w_slope * t).sum(axis=(-2, -1)), curvature,
             out=np.zeros_like(curvature), where=curvature > 0.0,
         ).clip(0.0, 1.0)
-        # diff = product + g slope - e, then the weighted square, reusing both.
-        diff = np.multiply(g[:, None, None], slope, out=w_slope)
-        np.add(product, diff, out=diff)
-        np.subtract(diff, e, out=diff)
-        np.multiply(wr, diff, out=work)
-        values = np.multiply(work, diff, out=work).sum(axis=(-2, -1))
+        diff = g[:, None, None] * slope - t
+        values = (wr * diff * diff).sum(axis=(-2, -1))
         if trace is not None:
             trace.extend(np.minimum.accumulate(np.append(best[0, 0], values))[1:].tolist())
         _keep_first_best(best, rows, values, g, log_means)
@@ -421,16 +433,13 @@ def _fit_stage2_batch(
                 row=row,
             )
         evaluations += 1
-        terms = _stage2_terms(stage1, log_means, n_model, after_loss, lose)
-        return evaluate(rows, log_means, *terms)
+        return evaluate(rows, log_means, _correlated_term(stage1, log_means, after_loss) - product)
 
-    mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
-    mean_hi = max(n_model / 3.0, mean_lo * 2.0)
-    grid = np.linspace(math.log(mean_lo), math.log(mean_hi), _MEAN_GRID_POINTS)
+    grid = np.linspace(*_log_mean_range(stage1), _MEAN_GRID_POINTS)
     every = np.arange(len(counts))
     values = np.stack([
-        evaluate(every, np.full(every.size, u), product, slope)
-        for u, product, slope in zip(grid, *_stage2_terms(stage1, grid, n_model, after_loss))
+        evaluate(every, np.full(every.size, u), slope)
+        for u, slope in zip(grid, _correlated_term(stage1, grid, after_loss) - product)
     ], axis=1)
     # One Brent search in the bracket around every grid point that is a
     # local minimum, started at that point, all run in lockstep. x is a
@@ -442,8 +451,6 @@ def _fit_stage2_batch(
     x = w = v = grid[k]
     fx = fw = fv = values[rows, k]
     d = e = np.zeros(rows.size)
-    # Every pass writes its loss factors here; no later pass has more points.
-    lose = np.empty((2, rows.size, min(n_out, n_model) + 1, n_model + 1))
     # Brent's stop test |x - mid| <= 2 tol - (b - a) / 2 implies b - a <= 4 tol.
     tol = math.sqrt(config.convergence_tol) / 4.0
     while True:
@@ -492,6 +499,8 @@ def _fit_stage2_batch(
 def _stage2_result(stage1: Stage1Result, point: np.ndarray) -> FitResult:
     """The fit at a batch's best ``point``: objective, g and log(mean)."""
     fval, g, log_mean = point.tolist()
+    at_bound = ("mean_photons",) * (log_mean in _log_mean_range(stage1))
+    at_bound += ("correlation",) * (g in (0.0, 1.0))
     mean = math.exp(log_mean)
     det_h, det_v = (
         DetectorParams(efficiency=min(detected / mean, 1.0), dark_mean=dark, crosstalk=xtalk)
@@ -500,7 +509,8 @@ def _stage2_result(stage1: Stage1Result, point: np.ndarray) -> FitResult:
             (stage1.detected_mean_v, stage1.dark_v, stage1.xtalk_v),
         )
     )
-    return FitResult(SourceParams(mean_photons=mean, correlation=g), det_h, det_v, fval, stage1)
+    source = SourceParams(mean_photons=mean, correlation=g)
+    return FitResult(source, det_h, det_v, fval, stage1, at_bound=at_bound)
 
 
 def fit_stage2(
@@ -513,8 +523,9 @@ def fit_stage2(
 
     The stage-1 detected means, darks, and crosstalk are held fixed; the
     efficiencies follow from ``detected_mean / mean_photons``, so the
-    source mean is bounded below by the larger detected mean. For each
-    mean, ``g`` takes its weighted least-squares value clipped to [0, 1].
+    source mean is bounded below by the larger detected mean, and above
+    by ``_MEAN_CAP``. For each mean, ``g`` takes its weighted
+    least-squares value clipped to [0, 1].
     The mean is searched in ``log(mean)``: the profile is evaluated on a
     log-spaced grid, and a Brent search starts at every grid point that
     is a local minimum, in the bracket of its two neighbours. It steps to
@@ -595,9 +606,10 @@ def fit_counts(
     counts and the resamples are fitted in one stage-2 batch with the
     counts' stage 1, the counts as row 0, and only that row becomes a
     FitResult; a batch's rows are bitwise their fits alone, so the fit is
-    that of ``fit_stage2``. ``g_error`` and ``distance_error`` are the
-    standard deviations of the resamples' fitted ``g`` and product
-    distances. A search that exhausts its budget raises
+    that of ``fit_stage2``. ``g_error``, ``nu_error`` and
+    ``distance_error`` are the standard deviations of the resamples'
+    fitted ``g`` and ``nu`` and of their product distances. A search that
+    exhausts its budget raises
     FitConvergenceError naming its row. An ``n_bootstrap`` of 1 or less
     than 0 is rejected before any fit.
     """
@@ -608,8 +620,10 @@ def fit_counts(
         return fit_stage2(counts, stage1, config)
     stacked, shots, distances = _draw_resamples(counts, n_bootstrap, seed)
     best = _fit_stage2_batch(stacked, shots, stage1, config)
+    g, log_means = best[1:, 1:]
     return replace(
         _stage2_result(stage1, best[:, 0]),
-        g_error=float(np.std(best[1, 1:], ddof=1)),
+        g_error=float(np.std(g, ddof=1)),
+        nu_error=float(np.std(g * (1.0 + np.exp(-log_means)), ddof=1)),
         distance_error=float(np.std(distances, ddof=1)),
     )

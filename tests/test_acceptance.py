@@ -110,7 +110,7 @@ def test_criterion_4_fit_round_trips():
     the Cramer-Rao bound on g is 0.07-0.13 and on the source mean is > 1.6
     at these shot counts, so no estimator could meet the tolerances
     there."""
-    config = FitConfig(n_max=60)
+    config = FitConfig()
     lines = []
     for g_true in (0.06, 0.23, 0.47):
         started = time.time()
@@ -189,7 +189,7 @@ def test_criterion_8_bootstrap_scaling():
     1e4 to 1e6 shots shrinks it by sqrt(10) within +-35%. Checked per
     decade; the criterion's factor 3.16 is the one-decade value of the
     1/sqrt(N) law it verifies."""
-    config = FitConfig(n_max=40)
+    config = FitConfig()
     errors = {}
     for shots in (10 ** 4, 10 ** 5, 10 ** 6):
         counts = simulate(
@@ -219,7 +219,7 @@ def test_criterion_9_determinism():
     small = SimConfig(SourceParams(1.0, 0.5), PAPER_DET_H, PAPER_DET_V,
                       shots=50_000, seed=5, n_max=10)
     counts = simulate(small)
-    boot_config = FitConfig(n_max=40)
+    boot_config = FitConfig()
     assert (fit_counts(counts, boot_config, n_bootstrap=4, seed=9)
             == fit_counts(counts, boot_config, n_bootstrap=4, seed=9))
     print("criterion 9 (determinism): PASS  byte-identical across reruns "

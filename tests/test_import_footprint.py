@@ -95,7 +95,7 @@ def test_fit_stage2_loads_no_scipy_submodule():
         "counts = simulate(SimConfig(SourceParams(1.0, 0.5), det, det,\n"
         "                            shots=20000, seed=3, n_max=10))\n"
         "stage1 = Stage1Result(0.7, 0.7, 0.02, 0.02, 0.05, 0.05, 0.0)\n"
-        "fit = fit_stage2(counts, stage1, FitConfig(n_max=20))\n"
+        "fit = fit_stage2(counts, stage1, FitConfig())\n"
         f"print(json.dumps([{LOADED_SCIPY}, fit.source.correlation]))\n"
     )
     loaded, g = result

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.special import gammaln
 
 import photoncorr.inference as inference
 from photoncorr import (
@@ -20,6 +19,7 @@ from photoncorr import (
     Stage1Result,
     after_loss_channel,
     apply_two_mode,
+    loss_matrix,
     fit_stage1,
     fit_stage2,
     mixture_joint,
@@ -58,25 +58,51 @@ def poisson_objective(counts, model, target):
     return float((diff * diff / np.maximum(counts.counts, 1)).sum())
 
 
-def profiled_objective(counts, stage1, mean, n_model):
-    """The stage-2 objective at ``mean`` with g at its best value in [0, 1].
+# The photon numbers of the untruncated model: the thermal tail past them
+# is below 1e-16 up to the stage-2 search's mean cap of 40/3.
+N_EXACT = 520
 
-    The model is affine in g and the objective quadratic in it, so g is
-    the unconstrained minimiser clipped to [0, 1].
+
+def exact_terms(mean, det_h, det_v, n_out):
+    """``apply_two_mode(mixture_joint(SourceParams(mean, g), N_EXACT), det_h, det_v, n_out)``
+    at g = 0 and 1, the outer product and the diagonal of the thermal ``t``.
+
+    The after-loss channel's columns past ``n_out`` are zero, so only rows
+    0 .. ``n_out`` of each loss matrix are read.
     """
-    det_h, det_v = (
+    ch, cv = (
+        after_loss_channel(det.dark_mean, det.crosstalk, n_out)
+        @ loss_matrix(det.efficiency, N_EXACT)[: n_out + 1]
+        for det in (det_h, det_v)
+    )
+    t = thermal_pmf(mean, N_EXACT).probs
+    return np.outer(ch @ t, cv @ t), (ch * t) @ cv.T
+
+
+def exact_model(source, det_h, det_v, n_out):
+    """The untruncated forward model of ``source``, ``g`` of the way from product to correlated."""
+    product, correlated = exact_terms(source.mean_photons, det_h, det_v, n_out)
+    return product + source.correlation * (correlated - product)
+
+
+def stage1_detectors(stage1, mean):
+    """The detectors of ``stage1`` at source mean ``mean``."""
+    return (
         DetectorParams(min(detected / mean, 1.0), dark, xtalk)
         for detected, dark, xtalk in (
             (stage1.detected_mean_h, stage1.dark_h, stage1.xtalk_h),
             (stage1.detected_mean_v, stage1.dark_v, stage1.xtalk_v),
         )
     )
-    product, correlated = (
-        apply_two_mode(
-            mixture_joint(SourceParams(mean, g), n_model), det_h, det_v, counts.n_max
-        ).probs
-        for g in (0.0, 1.0)
-    )
+
+
+def profiled_objective(counts, stage1, mean):
+    """The stage-2 objective at ``mean`` with g at its best value in [0, 1].
+
+    The model is affine in g and the objective quadratic in it, so g is
+    the unconstrained minimiser clipped to [0, 1].
+    """
+    product, correlated = exact_terms(mean, *stage1_detectors(stage1, mean), counts.n_max)
     slope, emp = correlated - product, counts.counts / counts.shots
     w = 1.0 / np.maximum(counts.counts, 1)
     g = np.clip((w * slope * (emp - product)).sum() / (w * slope * slope).sum(), 0.0, 1.0)
@@ -98,7 +124,7 @@ REFERENCE_HISTOGRAMS = pytest.mark.parametrize(
 class TestStage1:
     def test_recovers_detector_parameters(self):
         counts = simulate_counts(0.5, STAGE1_DET_H, STAGE1_DET_V, 10 ** 6, 42, 34)
-        s1 = fit_stage1(counts, FitConfig(n_max=60))
+        s1 = fit_stage1(counts, FitConfig())
         assert s1.detected_mean_h == pytest.approx(0.70 * 4.1, rel=0.05)
         assert s1.detected_mean_v == pytest.approx(0.65 * 4.1, rel=0.05)
         assert s1.dark_h == pytest.approx(0.11, rel=0.15)
@@ -135,7 +161,7 @@ class TestStage1:
         # step; central differences took 157 here.
         counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 6, 7, 12)
         trace = []
-        fit_stage1(counts, FitConfig(n_max=40), trace=trace)
+        fit_stage1(counts, FitConfig(), trace=trace)
         assert len(trace) <= 30
 
     @REFERENCE_HISTOGRAMS
@@ -144,11 +170,10 @@ class TestStage1:
         # end no higher than the objective at the generating parameters
         # (detected mean efficiency * 4.1, the source mean of the counts).
         counts = simulate_counts(g, det_h, det_v, shots, 7, n_out)
-        config = FitConfig(n_max=40)
-        s1 = fit_stage1(counts, config)
+        s1 = fit_stage1(counts, FitConfig())
         marg_h, marg_v = (
-            after_loss_channel(det.dark_mean, det.crosstalk, config.n_max, n_out)
-            @ thermal_pmf(det.efficiency * 4.1, config.n_max).probs
+            after_loss_channel(det.dark_mean, det.crosstalk, N_EXACT, n_out)
+            @ thermal_pmf(det.efficiency * 4.1, N_EXACT).probs
             for det in (det_h, det_v)
         )
         emp = counts.counts / counts.shots
@@ -185,11 +210,17 @@ class TestStage1Jacobian:
         offset=st.integers(min_value=1, max_value=20),
     )
     def test_matches_finite_differences(self, longer, mean, dark, xtalk, n_model, offset):
+        # The marginal is built on the output range alone. Where that is
+        # shorter than the oracle's model range, the oracle's longer thermal
+        # adds only zero columns of the channel, so the two agree to rounding.
         n_out = n_model + offset if longer else max(n_model - offset, 1)
+        n_model = max(n_model, n_out)
         x = [mean, dark, xtalk]
-        marginal, jac = inference._detected_marginal_jacobian(*x, n_model, n_out)
+        marginal, jac = inference._detected_marginal_jacobian(*x, n_out)
         assert jac.shape == (n_out + 1, 3)
-        assert np.array_equal(marginal, detected_marginal(*x, n_model, n_out))
+        np.testing.assert_allclose(
+            marginal, detected_marginal(*x, n_model, n_out), rtol=1e-14, atol=1e-300
+        )
         for k in range(3):
             np.testing.assert_allclose(
                 jac[:, k], self._finite_difference(x, k, n_model, n_out), rtol=0.0, atol=1e-7
@@ -202,19 +233,19 @@ def _bench_seed(seed):
     return int(digest[:12], 16)
 
 
-# (det_h, det_v, g, simulate seed, n_out, fit n_max): the fit-bootstrap
-# benchmark's inputs at six seeds, and criterion 4's three inputs.
+# (det_h, det_v, g, simulate seed, n_out): the fit-bootstrap benchmark's
+# inputs at six seeds, and criterion 4's three inputs.
 SOLVER_INPUTS = {
-    **{f"bench-{seed}": (PAPER_DET_H, PAPER_DET_V, 0.5, _bench_seed(seed), 12, 40)
+    **{f"bench-{seed}": (PAPER_DET_H, PAPER_DET_V, 0.5, _bench_seed(seed), 12)
        for seed in (1, 2, 3, 7, 29, 41)},
-    **{f"fit-601-g{g}": (FIT_DET_H, FIT_DET_V, g, 601, 34, 60) for g in (0.06, 0.23, 0.47)},
+    **{f"fit-601-g{g}": (FIT_DET_H, FIT_DET_V, g, 601, 34) for g in (0.06, 0.23, 0.47)},
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _solver_input(name):
-    det_h, det_v, g, seed, n_out, n_model = SOLVER_INPUTS[name]
-    return simulate_counts(g, det_h, det_v, 10 ** 6, seed, n_out), FitConfig(n_max=n_model)
+    det_h, det_v, g, seed, n_out = SOLVER_INPUTS[name]
+    return simulate_counts(g, det_h, det_v, 10 ** 6, seed, n_out), FitConfig()
 
 
 def _least_squares(evaluate, x, lower, upper, config):
@@ -293,7 +324,7 @@ class TestStage1Solver:
         trace = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(inference, "_levenberg_marquardt", solve_and_keep)
-            s1 = fit_stage1(counts, FitConfig(n_max=30), trace=trace)
+            s1 = fit_stage1(counts, FitConfig(), trace=trace)
         x = np.array([getattr(s1, key) for key in STAGE1_PARAMETERS])
         lower, upper = seen["lower"], seen["upper"]
         assert ((lower <= x) & (x <= upper)).all()
@@ -310,7 +341,7 @@ class TestStage1Solver:
 class TestStage2:
     def test_round_trip(self):
         counts = simulate_counts(0.47, FIT_DET_H, FIT_DET_V, 300_000, 9, 30)
-        config = FitConfig(n_max=60)
+        config = FitConfig()
         s1 = fit_stage1(counts, config)
         fit = fit_stage2(counts, s1, config)
         assert abs(fit.source.correlation - 0.47) <= 0.05
@@ -319,14 +350,14 @@ class TestStage2:
 
     def test_product_input_gives_small_g(self):
         counts = simulate_counts(0.0, FIT_DET_H, FIT_DET_V, 300_000, 11, 30)
-        config = FitConfig(n_max=60)
+        config = FitConfig()
         fit = fit_stage2(counts, fit_stage1(counts, config), config)
         assert fit.source.correlation <= 0.03
 
     def test_shared_product_state_distinct_g(self):
         # Same marginal statistics, three correlation levels: stage 1
         # must agree across them, stage 2 must separate them.
-        config = FitConfig(n_max=60)
+        config = FitConfig()
         stage1s, fits = [], []
         for g in (0.06, 0.23, 0.47):
             counts = simulate_counts(g, FIT_DET_H, FIT_DET_V, 10 ** 6, 21, 34)
@@ -344,7 +375,7 @@ class TestStage2:
     def test_estimator_consistency_in_shots(self):
         # Median |g_hat - g| over ten seeds must shrink from 1e4 to 1e6
         # shots.
-        config = FitConfig(n_max=60)
+        config = FitConfig()
         errors = {}
         for shots in (10 ** 4, 10 ** 6):
             errs = []
@@ -359,13 +390,11 @@ class TestStage2:
         # Counts regenerated from the fitted model refit to the same
         # detected means within one percent.
         counts = simulate_counts(0.47, FIT_DET_H, FIT_DET_V, 10 ** 6, 33, 30)
-        config = FitConfig(n_max=60)
+        config = FitConfig()
         s1 = fit_stage1(counts, config)
         fit = fit_stage2(counts, s1, config)
-        model = apply_two_mode(
-            mixture_joint(fit.source, config.n_max), fit.det_h, fit.det_v, n_out=30
-        )
-        synthetic = np.rint(model.probs * 10 ** 8).astype(np.int64)
+        model = exact_model(fit.source, fit.det_h, fit.det_v, 30)
+        synthetic = np.rint(model * 10 ** 8).astype(np.int64)
         regenerated = CountsMatrix(
             n_max=30, counts=synthetic, shots=int(synthetic.sum())
         )
@@ -375,7 +404,7 @@ class TestStage2:
 
     def test_objective_monotonicity(self):
         counts = simulate_counts(0.3, FIT_DET_H, FIT_DET_V, 100_000, 3, 20)
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         trace1, trace2 = [], []
         s1 = fit_stage1(counts, config, trace=trace1)
         fit_stage2(counts, s1, config, trace=trace2)
@@ -385,14 +414,13 @@ class TestStage2:
 
     @REFERENCE_HISTOGRAMS
     def test_residual_matches_forward_model(self, det_h, det_v, g, shots, n_out):
-        # The profiled objective is built from the thermal marginal; it
-        # must equal the objective of the full forward model at the fit.
+        # The profiled objective is built from the detected thermal
+        # marginals and a recurrence; it must equal the objective of the
+        # untruncated forward model at the fit.
         counts = simulate_counts(g, det_h, det_v, shots, 7, n_out)
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         fit = fit_stage2(counts, fit_stage1(counts, config), config)
-        model = apply_two_mode(
-            mixture_joint(fit.source, config.n_max), fit.det_h, fit.det_v, n_out
-        ).probs
+        model = exact_model(fit.source, fit.det_h, fit.det_v, n_out)
         expected = poisson_objective(counts, model, counts.counts / counts.shots)
         assert fit.residual == pytest.approx(expected, rel=1e-12)
 
@@ -401,26 +429,44 @@ class TestStage2:
         # The search stops once its bracket on log(mean) is no wider than
         # sqrt(convergence_tol), so the profile one such width to either
         # side of the fit is not lower. A search that stopped early, away
-        # from the minimum, would leave a lower point on one side.
+        # from the minimum, would leave a lower point on one side. A fit on
+        # an end of the search range has no point past that end.
         counts = simulate_counts(g, det_h, det_v, shots, 7, n_out)
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         s1 = fit_stage1(counts, config)
         fit = fit_stage2(counts, s1, config)
         width = math.sqrt(config.convergence_tol)
+        mean_lo, mean_hi = np.exp(inference._log_mean_range(s1))
         for mean in fit.source.mean_photons * np.exp([-width, width]):
-            objective = profiled_objective(counts, s1, mean, config.n_max)
+            if not mean_lo <= mean <= mean_hi:
+                assert "mean_photons" in fit.at_bound
+                continue
+            objective = profiled_objective(counts, s1, mean)
             assert objective >= fit.residual * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize(
+        "name, at_bound", [("bench-1", ("mean_photons",)), ("fit-601-g0.47", ())]
+    )
+    def test_names_parameters_on_a_bound(self, name, at_bound):
+        # At the reference detectors the data pin nu = g (1 + 1/mean), not
+        # the mean, and on the benchmark's seed-1 input the fit runs to the
+        # mean cap of 40/3. Criterion 4's input at g = 0.47 fits inside.
+        counts, config = _solver_input(name)
+        fit = fit_counts(counts, config)
+        assert fit.at_bound == at_bound
+        assert (fit.source.mean_photons == 40.0 / 3.0) == bool(at_bound)
+        assert fit.nu == fit.source.correlation * (1.0 + 1.0 / fit.source.mean_photons)
+
     def test_reaches_global_basin(self):
-        # At the reference detectors the objective over the source mean
-        # has two basins. On this histogram (the seed-2 fit-bootstrap
-        # input of bench/run.py) a local search from the low-mean basin
-        # stops near g = 0.08, mean = 0.14, while the global minimum lies
-        # near g = 0.57, mean = 4.3, lower by 0.07%. The grid stays inside
-        # the fit's mean bounds (above the larger detected mean, below
-        # n_max / 3).
+        # At the reference detectors the objective is nearly flat along a
+        # ridge of constant nu = g (1 + 1/mean). On this histogram (the
+        # seed-2 fit-bootstrap input of bench/run.py) the fit ends near
+        # g = 0.08, mean = 0.14; a model cut off at 40 photons has a deeper
+        # minimum near g = 0.57, mean = 4.3. The fit is not above any point
+        # of a dense grid over the search's mean range (above the larger
+        # detected mean, up to 40/3) and g.
         counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 6, 165131858720007, 12)
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         s1 = fit_stage1(counts, config)
         fit = fit_stage2(counts, s1, config)
 
@@ -429,16 +475,9 @@ class TestStage2:
         g = np.linspace(0.0, 1.0, 201)[:, None, None]
         grid_min = np.inf
         mean_lo = max(s1.detected_mean_h, s1.detected_mean_v) * (1.0 + 1e-6)
-        for mean in np.geomspace(mean_lo, 10.0, 200):
-            det_h = DetectorParams(s1.detected_mean_h / mean, s1.dark_h, s1.xtalk_h)
-            det_v = DetectorParams(s1.detected_mean_v / mean, s1.dark_v, s1.xtalk_v)
+        for mean in np.geomspace(mean_lo, 40.0 / 3.0, 200):
             # The model is affine in g, so its ends give every grid value.
-            a, b = (
-                apply_two_mode(
-                    mixture_joint(SourceParams(mean, end), config.n_max), det_h, det_v, n_out=12
-                ).probs
-                for end in (1.0, 0.0)
-            )
+            b, a = exact_terms(mean, *stage1_detectors(s1, mean), 12)
             diff = b + g * (a - b) - emp
             grid_min = min(grid_min, float((w * diff * diff).sum(axis=(1, 2)).min()))
         assert fit.residual <= grid_min * (1.0 + 1e-9)
@@ -473,7 +512,7 @@ class TestReconstruct:
 
     def test_round_trip_close_to_truth(self):
         counts = simulate_counts(0.47, FIT_DET_H, FIT_DET_V, 10 ** 6, 8, 34)
-        fit = fit_counts(counts, FitConfig(n_max=60))
+        fit = fit_counts(counts, FitConfig())
         recon = reconstruct(fit, 40)
         truth = mixture_joint(SourceParams(4.1, 0.47), 40)
         assert total_variation(recon.probs, truth.probs) <= 0.02
@@ -505,7 +544,7 @@ class TestBootstrap:
 
     def test_deterministic_given_seed(self):
         counts = self.make_counts()
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         first = fit_counts(counts, config, n_bootstrap=4, seed=3)
         second = fit_counts(counts, config, n_bootstrap=4, seed=3)
         assert first == second
@@ -595,7 +634,7 @@ class TestBootstrap:
         counts = CountsMatrix(3, [[40, 3, 0, 0], [2, 5, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], 60, 7)
         draws = [poisson_resample(counts, _stream_rng(4, r)) for r in range(6)]
         want = np.std([product_distance(singular_spectrum(normalize(x))) for x in draws], ddof=1)
-        fit = fit_counts(counts, FitConfig(n_max=20), n_bootstrap=6, seed=4)
+        fit = fit_counts(counts, FitConfig(), n_bootstrap=6, seed=4)
         assert fit.distance_error == float(want)
 
     def test_stage1_fit_once(self, monkeypatch):
@@ -606,62 +645,43 @@ class TestBootstrap:
             return fit_stage1(*args, **kwargs)
 
         monkeypatch.setattr(inference, "fit_stage1", counted)
-        fit_counts(self.make_counts(), FitConfig(n_max=40), n_bootstrap=3, seed=2)
+        fit_counts(self.make_counts(), FitConfig(), n_bootstrap=3, seed=2)
         assert len(calls) == 1
 
     def test_fit_counts_attaches_errors(self):
         counts = self.make_counts()
-        fit = fit_counts(counts, FitConfig(n_max=40), n_bootstrap=3, seed=2)
+        fit = fit_counts(counts, FitConfig(), n_bootstrap=3, seed=2)
         assert fit.g_error is not None and fit.g_error >= 0.0
         assert fit.distance_error is not None and fit.distance_error >= 0.0
 
     def test_fit_counts_is_the_fits_alone(self):
         # fit_counts fits the counts as row 0 of the bootstrap's batch, and
         # a row is bitwise its fit alone: the fit is the counts' fit_stage2,
-        # and g_error the spread of the resamples' fits with its stage 1.
+        # and g_error and nu_error the spreads of the resamples' fits with
+        # its stage 1.
         counts = self.make_counts()
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         stage1 = fit_stage1(counts, config)
         draws = [poisson_resample(counts, _stream_rng(2, r)) for r in range(5)]
-        g_err = np.std([fit_stage2(x, stage1, config).source.correlation for x in draws], ddof=1)
+        fits = [fit_stage2(x, stage1, config) for x in draws]
         fit = fit_counts(counts, config, n_bootstrap=5, seed=2)
-        assert fit.g_error == float(g_err)
-        assert dataclasses.replace(fit, g_error=None, distance_error=None) == fit_stage2(
-            counts, stage1, config
-        )
+        assert fit.g_error == float(np.std([x.source.correlation for x in fits], ddof=1))
+        assert fit.nu_error == pytest.approx(np.std([x.nu for x in fits], ddof=1), rel=1e-12)
+        assert dataclasses.replace(
+            fit, g_error=None, distance_error=None, nu_error=None
+        ) == fit_stage2(counts, stage1, config)
 
     def test_fit_counts_carries_stage1(self):
         counts = self.make_counts()
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         assert fit_counts(counts, config).stage1 == fit_stage1(counts, config)
-
-
-def closed_form_loss(eta, n):
-    """The loss matrix entry by entry: ``exp(log C(k, m) + m log eta + (k-m) log(1-eta))``."""
-    if eta == 1.0:
-        return np.eye(n + 1)
-    m = np.arange(n + 1.0)[:, None]
-    k = np.arange(n + 1.0)[None, :]
-    log_c = gammaln(k + 1.0) - gammaln(m + 1.0) - gammaln(np.maximum(k - m, 0.0) + 1.0)
-    log_c = np.where(m <= k, log_c, -np.inf)
-    return np.exp(log_c + m * math.log(eta) + (k - m) * math.log1p(-eta))
 
 
 _detected_means = st.one_of(st.just(1e-8), st.floats(min_value=1e-8, max_value=5.0))
 
 
 class TestStage2Terms:
-    """The factored stage-2 terms agree with whole loss matrices, one mean at a time."""
-
-    @staticmethod
-    def oracle(stage1, mean, n_model, after_loss):
-        ch, cv = (
-            chan @ closed_form_loss(min(detected / mean, 1.0), n_model)[: chan.shape[1]]
-            for chan, detected in zip(after_loss, (stage1.detected_mean_h, stage1.detected_mean_v))
-        )
-        t = _thermal_probs(mean, n_model)
-        product = np.outer(ch @ t, cv @ t)
-        return product, (ch * t) @ cv.T - product
+    """The stage-2 terms are those of the untruncated forward model."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -674,47 +694,45 @@ class TestStage2Terms:
             st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)), min_size=1, max_size=4
         ),
     )
-    def test_match_whole_loss_matrices(
+    def test_match_untruncated_model(
         self, detected_h, detected_v, darks, xtalks, n_out, fractions
     ):
-        # Means run from the grid's lower end, where 1 - efficiency is about
-        # 1e-9, to n_model / 3; a detected_v of None is equal to detected_h.
-        # The slope is the correlated term minus the product, which cancels
-        # to rounding noise where the correlation barely shows (at detected
-        # means of 1e-8), so its error is measured against the product.
-        n_model = 60
+        # Means run over the whole search range, from its lower end, where
+        # 1 - efficiency is about 1e-9, to the cap of 40/3; a detected_v of
+        # None is equal to detected_h.
         detected_v = detected_h if detected_v is None else detected_v
         stage1 = Stage1Result(detected_h, detected_v, *darks, *xtalks, 0.0)
-        lo = math.log(max(detected_h, detected_v) * (1.0 + 1e-9))
-        log_means = lo + np.array(fractions) * (math.log(n_model / 3.0) - lo)
-        after_loss = [
-            after_loss_channel(dark, xtalk, n_out, n_out) for dark, xtalk in zip(darks, xtalks)
-        ]
-        product, slope = inference._stage2_terms(stage1, log_means, n_model, after_loss)
-        assert np.all(np.isfinite(product)) and np.all(np.isfinite(slope))
-        # Loss factors written into given arrays, one row longer than the
-        # points and filled with NaN, give the same terms bitwise.
-        lose = np.full((2, log_means.size + 1, n_out + 1, n_model + 1), np.nan)
-        again = inference._stage2_terms(stage1, log_means, n_model, after_loss, lose)
-        assert again[0].tolist() == product.tolist() and again[1].tolist() == slope.tolist()
-        for u, got_product, got_slope in zip(log_means, product, slope):
-            want_product, want_slope = self.oracle(stage1, math.exp(u), n_model, after_loss)
-            np.testing.assert_allclose(got_product, want_product, rtol=1e-10, atol=1e-300)
-            error = np.abs(got_slope - want_slope)
-            assert np.all(error <= 1e-10 * (np.abs(want_slope) + np.abs(want_product)) + 1e-300)
+        lo, hi = inference._log_mean_range(stage1)
+        log_means = lo + np.array(fractions) * (hi - lo)
+        after_loss = [after_loss_channel(dark, xtalk, n_out) for dark, xtalk in zip(darks, xtalks)]
+        product = inference._product_term(stage1, after_loss)
+        correlated = inference._correlated_term(stage1, log_means, after_loss)
+        assert correlated.shape == (log_means.size, n_out + 1, n_out + 1)
+        for u, got in zip(log_means, correlated):
+            mean = math.exp(u)
+            detectors = stage1_detectors(stage1, mean)
+            want_product, want_correlated = exact_terms(mean, *detectors, n_out)
+            np.testing.assert_allclose(product, want_product, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(got, want_correlated, rtol=0.0, atol=1e-13)
+
+
+# The bootstrap seed of _resamples_fitted_alone: of its eight resamples,
+# three (6, 7 and 8) need more search passes than the counts.
+RESAMPLE_STREAM = 3
 
 
 @functools.lru_cache(maxsize=None)
 def _resamples_fitted_alone():
     """Eight resamples of a reference-detector histogram, each fitted alone.
 
-    At these detectors a profile can have two local minima on the grid, so
-    rows of one batch run different numbers of searches.
+    At these detectors the profile of a resample whose g is 0 at every
+    mean is flat, so every grid point starts a search, and rows of one
+    batch run different numbers of searches (12 for resamples 6-8).
     """
     counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
-    config = FitConfig(n_max=40)
+    config = FitConfig()
     stage1 = fit_stage1(counts, config)
-    resamples = [poisson_resample(counts, _stream_rng(2, r)) for r in range(8)]
+    resamples = [poisson_resample(counts, _stream_rng(RESAMPLE_STREAM, r)) for r in range(8)]
     return counts, resamples, stage1, config, [fit_stage2(x, stage1, config) for x in resamples]
 
 
@@ -775,12 +793,12 @@ class TestStage2Batch:
         inference._keep_first_best(best, rows, values, g, log_means)
         np.testing.assert_array_equal(best, want)
 
-    def test_loss_builds_do_not_grow_with_resamples(self, monkeypatch):
-        # A batch makes one pass over the grid, then one pass per step of
-        # its longest-running row, and every pass builds the loss factors
-        # twice (once per mode) whatever the number of rows.
+    def test_term_builds_do_not_grow_with_resamples(self, monkeypatch):
+        # A batch builds the product term once, and the correlated term in
+        # one pass over the grid, then one pass per step of its
+        # longest-running row, whatever the number of rows.
         counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         stage1 = fit_stage1(counts, config)
         calls = []
 
@@ -796,23 +814,24 @@ class TestStage2Batch:
             fit(*args)
             return calls.count(function)
 
-        terms = inference._stage2_terms
-        monkeypatch.setattr(inference, "_stage2_terms", counting(terms))
-        factors = inference._loss_factors
-        monkeypatch.setattr(inference, "_loss_factors", counting(factors))
+        product, correlated = inference._product_term, inference._correlated_term
+        monkeypatch.setattr(inference, "_product_term", counting(product))
+        monkeypatch.setattr(inference, "_correlated_term", counting(correlated))
         for n_resamples in (20, 40):
             resamples = [poisson_resample(counts, _stream_rng(3, r)) for r in range(n_resamples)]
             passes = max(
-                calls_to(terms, fit_stage2, x, stage1, config) - 1 for x in [counts, *resamples]
+                calls_to(correlated, fit_stage2, x, stage1, config) - 1
+                for x in [counts, *resamples]
             )
-            builds = calls_to(factors, resample_batch, counts, n_resamples, 3, stage1, config)
-            assert builds == 2 * (1 + passes), n_resamples
+            builds = calls_to(correlated, resample_batch, counts, n_resamples, 3, stage1, config)
+            assert builds == 1 + passes, n_resamples
+            assert calls.count(product) == 1, n_resamples
 
     def test_search_takes_few_evaluations(self):
         # On this smooth one-minimum profile the parabolic steps reach the
         # stop width in 9 evaluations; a golden-section search needs 33.
         counts = simulate_counts(0.47, FIT_DET_H, FIT_DET_V, 300_000, 9, 30)
-        config = FitConfig(n_max=60)
+        config = FitConfig()
         trace = []
         fit_stage2(counts, fit_stage1(counts, config), config, trace=trace)
         assert len(trace) - 12 <= 15
@@ -821,7 +840,7 @@ class TestStage2Batch:
         # At the FIT detectors the profile has one minimum on the grid, so
         # the trace after the 12 grid points is one search's evaluations.
         counts = simulate_counts(0.47, FIT_DET_H, FIT_DET_V, 300_000, 9, 30)
-        config = FitConfig(n_max=60)
+        config = FitConfig()
         stage1 = fit_stage1(counts, config)
         trace = []
         fit = fit_stage2(counts, stage1, config, trace=trace)
@@ -844,9 +863,9 @@ class TestStage2Batch:
         # passes: a histogram's searches run in lockstep, one point each.
         counts, resamples, stage1, config, _ = _resamples_fitted_alone()
         passes = []
-        terms = inference._stage2_terms
+        terms = inference._correlated_term
         monkeypatch.setattr(
-            inference, "_stage2_terms", lambda *args: passes.append(1) or terms(*args)
+            inference, "_correlated_term", lambda *args: passes.append(1) or terms(*args)
         )
 
         def search_passes(x):
@@ -860,7 +879,7 @@ class TestStage2Batch:
         short = dataclasses.replace(config, max_iterations=budget)
         assert fit_stage2(counts, stage1, short) == fit_stage2(counts, stage1, config)
         with pytest.raises(FitConvergenceError) as excinfo:
-            resample_batch(counts, len(resamples), 2, stage1, short)
+            resample_batch(counts, len(resamples), RESAMPLE_STREAM, stage1, short)
         assert excinfo.value.row == late[0]
         assert f"search of resample {late[0]} did not converge" in str(excinfo.value)
         row = stage2_batch([resamples[late[0] - 1]], stage1, config)[:, 0]
@@ -876,7 +895,7 @@ class TestModeSymmetry:
             n_max=counts.n_max, counts=counts.counts.T, shots=counts.shots,
             overflow=counts.overflow,
         )
-        config = FitConfig(n_max=40)
+        config = FitConfig()
         s1, s1_t = fit_stage1(counts, config), fit_stage1(swapped, config)
         pairs = [
             (s1.detected_mean_h, s1_t.detected_mean_v),
@@ -902,7 +921,7 @@ class TestFitConfig:
         [
             {"max_iterations": 0},
             {"convergence_tol": 0.0},
-            {"n_max": 0},
+            {"convergence_tol": math.inf},
             {"convergence_tol": float("nan")},
         ],
     )

@@ -39,7 +39,6 @@ def write_config(path, **overrides):
         "shots": 20_000,
         "seed": 13,
         "n_max": 10,
-        "fit": {"n_max": 30},
     }
     config.update(overrides)
     path.write_text(json.dumps(config))
@@ -262,7 +261,7 @@ class TestFitCommand:
         assert main(["simulate", "--config", config, "--out", str(out)]) == 0
         return config, str(out / "counts.csv")
 
-    def test_fit_outputs(self, tmp_path):
+    def test_fit_outputs(self, tmp_path, capsys):
         config, counts_path = self.make_counts_file(tmp_path)
         out = tmp_path / "fit"
         code = main(["fit", counts_path, "--config", config, "--out", str(out),
@@ -273,9 +272,17 @@ class TestFitCommand:
         assert result["g_error"] >= 0.0
         assert result["distance_error"] >= 0.0
         assert set(result) == {
-            "mean_photons", "correlation", "detector_h", "detector_v", "residual",
-            "g_error", "distance_error", "stage1", "manifest",
+            "mean_photons", "correlation", "nu", "at_bound", "detector_h", "detector_v",
+            "residual", "g_error", "distance_error", "nu_error", "stage1", "manifest",
         }
+        assert result["nu_error"] >= 0.0
+        assert result["nu"] == pytest.approx(
+            result["correlation"] * (1.0 + 1.0 / result["mean_photons"]), rel=1e-15
+        )
+        assert set(result["at_bound"]) <= {"mean_photons", "correlation"}
+        printed = capsys.readouterr().out
+        assert f"nu={result['nu']:.4f}" in printed
+        assert ("on a bound" in printed) == bool(result["at_bound"])
         assert set(result["stage1"]) == {
             "detected_mean_h", "detected_mean_v", "dark_h", "dark_v", "xtalk_h", "xtalk_v",
             "residual", "evaluations", "at_bound",
@@ -287,9 +294,7 @@ class TestFitCommand:
         assert np.loadtxt(recon, delimiter=",").shape == (21, 21)
         manifest = read_json(out / "fit_manifest.json")
         assert manifest["command"] == "fit"
-        assert set(manifest["config"]["fit"]) == {
-            "max_iterations", "convergence_tol", "n_max",
-        }
+        assert set(manifest["config"]["fit"]) == {"max_iterations", "convergence_tol"}
 
     def test_manifest_fit_block_round_trip(self, tmp_path):
         # The manifest's resolved fit block reruns the same fit.
@@ -331,7 +336,8 @@ class TestFitCommand:
             assert read_json(out / "fit.json")["distance_error"] >= 0.0
 
     def test_weighting_key_ignored(self, tmp_path):
-        # Configs written for earlier versions carry a "weighting" key.
+        # Configs written for earlier versions carry "weighting" and
+        # "n_max" keys; the fit ignores both.
         config, counts_path = self.make_counts_file(tmp_path)
         legacy = write_config(tmp_path / "legacy.json", fit={"weighting": "poisson", "n_max": 30})
         fits = []
@@ -344,7 +350,7 @@ class TestFitCommand:
     def test_non_convergence_exit_code(self, tmp_path):
         config_path = tmp_path / "starved.json"
         config, counts_path = self.make_counts_file(tmp_path)
-        config_path.write_text(json.dumps({"fit": {"max_iterations": 1, "n_max": 30}}))
+        config_path.write_text(json.dumps({"fit": {"max_iterations": 1}}))
         code = main(["fit", counts_path, "--config", str(config_path),
                      "--out", str(tmp_path / "starved")])
         assert code == 3
@@ -352,7 +358,7 @@ class TestFitCommand:
     def test_invalid_fit_config_exit_code(self, tmp_path):
         config_path = tmp_path / "bad_fit.json"
         config, counts_path = self.make_counts_file(tmp_path)
-        config_path.write_text(json.dumps({"fit": {"n_max": 0}}))
+        config_path.write_text(json.dumps({"fit": {"max_iterations": 0}}))
         code = main(["fit", counts_path, "--config", str(config_path),
                      "--out", str(tmp_path / "bad_fit")])
         assert code == 2
@@ -361,7 +367,6 @@ class TestFitCommand:
 class TestConfigErrors:
     # (command, config overrides, the key the error message must name)
     @pytest.mark.parametrize("command, overrides, key", [
-        pytest.param("fit", {"fit": {"n_max": None}}, "n_max", id="fit-n_max-null"),
         pytest.param("fit", {"fit": [1]}, "fit", id="fit-list"),
         pytest.param("fit", {"fit": {"max_iterations": float("inf")}}, "max_iterations",
                      id="fit-iterations-inf"),
@@ -371,10 +376,9 @@ class TestConfigErrors:
                      id="fit-iterations-fraction"),
         pytest.param("fit", {"fit": {"max_iterations": True}}, "max_iterations",
                      id="fit-iterations-bool"),
-        pytest.param("fit", {"fit": {"n_max": 30.5}}, "n_max", id="fit-n_max-fraction"),
-        pytest.param("fit", {"fit": {"convergence_tol": True, "n_max": 30}}, "convergence_tol",
+        pytest.param("fit", {"fit": {"convergence_tol": True}}, "convergence_tol",
                      id="fit-tol-bool"),
-        pytest.param("fit", {"fit": {"convergence_tol": float("inf"), "n_max": 30}},
+        pytest.param("fit", {"fit": {"convergence_tol": float("inf")}},
                      "convergence_tol", id="fit-tol-inf"),
         pytest.param("simulate", {"source": {"mean_photons": None}}, "mean_photons",
                      id="mean-null"),
@@ -485,8 +489,11 @@ class TestSweepCommand:
         assert code == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("g_true,gamma,")
+        assert lines[0].endswith(",g_fitted,g_error,distance_error,nu_fitted,nu_error")
         assert len(lines) == 3
         rows = [line.split(",") for line in lines[1:]]
+        # nu = g (1 + 1/mean) is at least g; without a bootstrap it has no error.
+        assert all(float(row[7]) >= float(row[4]) and row[8] == "" for row in rows)
         g0, g1 = float(rows[0][1]), float(rows[1][1])
         # gamma = g * efficiency of the non-heralding detector.
         assert g0 == pytest.approx(0.0, abs=1e-4)
@@ -532,7 +539,6 @@ class TestSweepCommand:
             detector_v={"efficiency": 0.65, "dark_mean": 0.03, "crosstalk": 0.04},
             shots=10 ** 6,
             n_max=34,
-            fit={"n_max": 60},
         )
         out = tmp_path / "sweep_linear"
         code = main(["sweep", "--config", config,
