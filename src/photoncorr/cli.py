@@ -165,6 +165,7 @@ def fit_result_dict(fit: FitResult) -> dict:
         "g_error": fit.g_error,
         "distance_error": fit.distance_error,
         "nu_error": fit.nu_error,
+        "evaluations": fit.evaluations,
         "stage1": dataclasses.asdict(fit.stage1),
     }
 

