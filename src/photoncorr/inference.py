@@ -21,12 +21,15 @@ darks, and crosstalk from stage 1 fixed (the per-mode efficiency is
 ``B + g (A - B)`` is linear in ``g`` (``A`` the detected correlated
 component, ``B`` the detected product), so ``g`` is profiled out in
 closed form and only the mean is searched (variable projection): a
-12-point log-spaced grid, then a Brent search (parabolic steps, with
-golden-section steps as the safeguard) around every local minimum on
-it. A search whose grid minimum is an end of the range first probes one
-point the stop width inside that end and ends on the end if the probe is
-no lower. At low efficiency most fits end on an end, and the probe stands
-in for their Brent steps: at the benchmark's seed-1 input a
+12-point log-spaced grid, then one Brent search (parabolic steps, with
+golden-section steps as the safeguard) in the bracket around the grid's
+lowest point, the first of ties. Where ``g`` clips to 0 at every mean
+the profile is flat and every grid point ties, so the search starts on
+the lower end. A search whose grid minimum is an end of the range first
+probes one point the stop width inside that end and ends on the end if
+the probe is no lower. At low efficiency most fits end on an end, and
+the probe stands in for their Brent steps, as it does for a flat
+profile's whole search: at the benchmark's seed-1 input a
 ``fit --bootstrap 100`` builds the correlated term at 328 points, against
 1,669 for the Brent search alone. Neither term is cut off in photon
 number: ``B`` is the product of stage 1's detected thermal marginals,
@@ -69,9 +72,9 @@ from .montecarlo import CountsMatrix, _stream_rng, normalize
 
 _DARK_MAX = 5.0
 _XTALK_MAX = 0.45
-# The stage-2 profile over the source mean can have more than one local
-# minimum, so the mean is first evaluated on this many log-spaced points
-# and a bounded search runs around every local minimum.
+# The stage-2 profile over the source mean is first evaluated on this many
+# log-spaced points, and one bounded search runs in the bracket around the
+# lowest of them.
 _MEAN_GRID_POINTS = 12
 # The upper end of the stage-2 search over the source mean, unless twice
 # the larger detected mean is higher: a fit at an infinite mean would have
@@ -85,12 +88,13 @@ class FitConfig:
 
     ``max_iterations`` caps each solver run: the stage-1 residual
     evaluations, and the passes of the stage-2 mean search after the grid,
-    each one point of every search still running. The pass that probes
-    inside the ends counts like every other. ``convergence_tol`` is the
-    relative tolerance at which the solvers stop: stage 1 when a step
-    lowers the objective, or moves the parameters, by less than this
-    fraction; stage 2 when its bracket on ``log(mean)`` is no wider than
-    the square root of it (the objective is quadratic near a minimum).
+    each one point of every histogram's search still running. The pass
+    that probes inside the ends counts like every other.
+    ``convergence_tol`` is the relative tolerance at which the solvers
+    stop: stage 1 when a step lowers the objective, or moves the
+    parameters, by less than this fraction; stage 2 when its bracket on
+    ``log(mean)`` is no wider than the square root of it (the objective
+    is quadratic near a minimum).
     """
 
     max_iterations: int = 4000
@@ -371,17 +375,13 @@ def _correlated_term(stage1: Stage1Result, log_means: np.ndarray, after_loss) ->
 
 
 def _keep_first_best(best, rows, values, g, log_means) -> None:
-    """Record in ``best`` each row's first best point of a pass, where it beats the row's best.
+    """Record in ``best`` each point of a pass that beats its row's best.
 
-    The points are in evaluation order, and several can share a row.
-    Sorted by (row, value) with a stable sort, so by evaluation order last,
-    a row's first entry is its smallest value, the earliest of ties; NaN
-    sorts last and never improves a row.
+    A pass holds at most one point per row. A tie keeps the earlier point,
+    and NaN never improves a row.
     """
-    order = np.lexsort((values, rows))
-    first = order[np.concatenate(([True], rows[order[1:]] != rows[order[:-1]]))]
-    k = first[values[first] < best[0, rows[first]]]
-    best[:3, rows[k]] = values[k], g[k], log_means[k]
+    improve = values < best[0, rows]
+    best[:3, rows[improve]] = values[improve], g[improve], log_means[improve]
 
 
 def _fit_stage2_batch(
@@ -396,9 +396,9 @@ def _fit_stage2_batch(
     Returns every row's result as a ``(4, rows)`` array: the objective,
     ``g`` and ``log(mean)`` of its best point, and the number of points it
     evaluated. Each pass of the search builds the model terms at one point
-    of every running search at once. A row's points, and the arithmetic on
-    them, do not depend on the others, so each row is bitwise its fit
-    alone. With one row, ``trace`` gets its best objective after every
+    of every row still searching at once. A row's points, and the
+    arithmetic on them, do not depend on the others, so each row is
+    bitwise its fit alone. With one row, ``trace`` gets its best objective after every
     evaluation. A search that exhausts the budget raises
     FitConvergenceError naming its row: row 0 is "the counts" and row
     ``k`` "resample k", the layout of ``fit_counts``.
@@ -428,7 +428,7 @@ def _fit_stage2_batch(
         if trace is not None:
             trace.extend(np.minimum.accumulate(np.append(best[0, 0], values))[1:].tolist())
         _keep_first_best(best, rows, values, g, log_means)
-        best[3] += np.bincount(rows, minlength=best.shape[1])
+        best[3, rows] += 1
         return values
 
     passes = 0
@@ -454,12 +454,11 @@ def _fit_stage2_batch(
         evaluate(every, np.full(every.size, u), slope)
         for u, slope in zip(grid, _correlated_term(stage1, grid, after_loss) - product)
     ], axis=1)
-    # One Brent search in the bracket around every grid point that is a
-    # local minimum, started at that point, all run in lockstep. x is a
-    # search's best point, w its second best and v the previous w; d is
-    # its last step and e the one before.
-    padded = np.pad(values, ((0, 0), (1, 1)), mode="edge")
-    rows, k = np.nonzero(values <= np.minimum(padded[:, :-2], padded[:, 2:]))
+    # One Brent search per row in the bracket around its grid minimum (the
+    # first, on ties), started there; the rows' searches run in lockstep.
+    # x is a search's best point, w its second best and v the previous w;
+    # d is its last step and e the one before.
+    rows, k = every, values.argmin(axis=1)
     a, b = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, _MEAN_GRID_POINTS - 1)]
     x, fx = grid[k], values[rows, k]
     # Brent's stop test |x - mid| <= 2 tol - (b - a) / 2 implies b - a <= 4 tol.
@@ -555,8 +554,8 @@ def fit_stage2(
     by ``_MEAN_CAP``. For each mean, ``g`` takes its weighted
     least-squares value clipped to [0, 1].
     The mean is searched in ``log(mean)``: the profile is evaluated on a
-    log-spaced grid, and a Brent search starts at every grid point that
-    is a local minimum, in the bracket of its two neighbours. It steps to
+    log-spaced grid, and one Brent search starts at its lowest point (the
+    first of ties), in the bracket of its two neighbours. It steps to
     the vertex of a parabola through three of its points where that is
     safe, takes a golden-section step otherwise, and stops once its
     bracket is no wider than ``sqrt(convergence_tol)``; the best point

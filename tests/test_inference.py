@@ -716,21 +716,28 @@ class TestStage2Terms:
             np.testing.assert_allclose(got, want_correlated, rtol=0.0, atol=1e-13)
 
 
-# The bootstrap seed of _resamples_fitted_alone: of its eight resamples,
-# three (6, 7 and 8) need more search passes than the counts.
+# The bootstrap seed of _resamples_fitted_alone: on the "bench-1" input,
+# three of its eight resamples (1, 4 and 5) need more search passes than
+# the counts.
 RESAMPLE_STREAM = 3
 
 
 @functools.lru_cache(maxsize=None)
-def _resamples_fitted_alone():
-    """Eight resamples of a reference-detector histogram, each fitted alone.
+def _resamples_fitted_alone(name):
+    """Eight resamples of the input ``name``, each fitted alone with its stage 1.
 
-    At these detectors the profile of a resample whose g is 0 at every
-    mean is flat, so every grid point starts a search, and rows of one
-    batch run different numbers of searches (12 for resamples 6-8).
+    ``name`` is a key of SOLVER_INPUTS, or "ref-1e5", a 10^5-shot
+    histogram at the reference detectors. On "bench-1" the counts settle
+    on the mean cap in one probe pass, and resamples 1, 4 and 5 run Brent
+    searches of 20, 14 and 17 passes in all, so rows of one batch run
+    different numbers of passes. On "ref-1e5", g is 0 at every mean for
+    resamples 6-8, so their profiles are flat.
     """
-    counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
-    config = FitConfig()
+    if name == "ref-1e5":
+        counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
+        config = FitConfig()
+    else:
+        counts, config = _solver_input(name)
     stage1 = fit_stage1(counts, config)
     resamples = [poisson_resample(counts, _stream_rng(RESAMPLE_STREAM, r)) for r in range(8)]
     return counts, resamples, stage1, config, [fit_stage2(x, stage1, config) for x in resamples]
@@ -765,7 +772,7 @@ class TestStage2Batch:
         # Each row of the batch's (objective, g, log mean, evaluations)
         # array is bitwise that of its histogram in a batch of one, and the
         # FitResult built from it is the histogram's fit_stage2.
-        _, resamples, stage1, config, alone = _resamples_fitted_alone()
+        _, resamples, stage1, config, alone = _resamples_fitted_alone("bench-1")
         batch = stage2_batch([resamples[i] for i in order], stage1, config)
         assert batch.shape == (4, len(order))
         for i, row in zip(order, batch.T):
@@ -776,22 +783,31 @@ class TestStage2Batch:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        initial=st.lists(_objective_values, min_size=1, max_size=4),
-        points=st.lists(st.tuples(st.integers(0, 3), _objective_values), min_size=1, max_size=12),
+        initial=st.lists(_objective_values, min_size=4, max_size=4),
+        passes=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 3), _objective_values),
+                min_size=1, max_size=4, unique_by=lambda point: point[0],
+            ),
+            min_size=1, max_size=6,
+        ),
     )
-    def test_first_best_update_is_the_sequential_rule(self, initial, points):
-        # Several points per row (two searches of one histogram), ties,
-        # inf and NaN: each row keeps its earliest smallest value that
-        # beats its best, as a point-by-point update in evaluation order.
-        rows = np.array([row % len(initial) for row, _ in points])
-        values = np.array([value for _, value in points])
-        g, log_means = np.arange(rows.size) / 16.0, -np.arange(rows.size, dtype=float)
+    def test_first_best_update_is_the_sequential_rule(self, initial, passes):
+        # Passes of distinct rows, with ties, inf and NaN: each row keeps
+        # its earliest smallest value that beats its best, as a
+        # point-by-point update in evaluation order.
         best = np.full((3, len(initial)), -1.0)
         best[0] = initial
         want = best.copy()
-        sequential_first_best(want, rows, values, g, log_means)
-        inference._keep_first_best(best, rows, values, g, log_means)
-        np.testing.assert_array_equal(best, want)
+        seen = 0
+        for points in passes:
+            rows = np.array([row for row, _ in points])
+            values = np.array([value for _, value in points])
+            labels = seen + np.arange(rows.size, dtype=float)
+            seen += rows.size
+            sequential_first_best(want, rows, values, labels / 16.0, -labels)
+            inference._keep_first_best(best, rows, values, labels / 16.0, -labels)
+            np.testing.assert_array_equal(best, want)
 
     def test_term_builds_do_not_grow_with_resamples(self, monkeypatch):
         # A batch builds the product term once, and the correlated term in
@@ -844,6 +860,26 @@ class TestStage2Batch:
             inference, "_correlated_term", lambda s1, u, al: calls.append(u) or terms(s1, u, al)
         )
         return calls
+
+    def test_flat_profile_settles_in_the_grid_and_one_probe(self, monkeypatch):
+        # Where g clips to 0 at every mean, every grid point ties. The one
+        # search starts on the first of them, the lower end, and the probe
+        # inside it is no lower, so the fit takes the 12 grid points and
+        # the probe, not a search from every tied grid point.
+        _, resamples, stage1, config, _ = _resamples_fitted_alone("ref-1e5")
+        counts = simulate_counts(0.0, FIT_DET_H, FIT_DET_V, 10 ** 6, 601, 34)
+        inputs = [(x, stage1) for x in resamples[5:8]] + [(counts, fit_stage1(counts, config))]
+        fitted_g, keep = [], inference._keep_first_best
+        monkeypatch.setattr(
+            inference, "_keep_first_best",
+            lambda best, rows, values, g, u: fitted_g.extend(g) or keep(best, rows, values, g, u),
+        )
+        for x, s1 in inputs:
+            fitted_g.clear()
+            fit = fit_stage2(x, s1, config)
+            assert fitted_g == [0.0] * 13
+            assert fit.evaluations == 13
+            assert fit.source.mean_photons == math.exp(inference._log_mean_range(s1)[0])
 
     def test_end_minimum_settled_by_one_probe(self, monkeypatch):
         # On the benchmark's seed-1 input the profile falls all the way to
@@ -908,12 +944,13 @@ class TestStage2Batch:
         assert excinfo.value.row == 0 and "search of the counts did" in str(excinfo.value)
 
     def test_exhausted_budget_names_the_row(self, monkeypatch):
-        # At a budget the counts' searches meet, resamples whose searches
-        # need more fail the bootstrap, and the error names the first of
-        # them (row r + 1 of the batch is drawn from stream (seed, r)), so
-        # its (g, mean) is not read as the fit's own. The budget counts
-        # passes: a histogram's searches run in lockstep, one point each.
-        counts, resamples, stage1, config, _ = _resamples_fitted_alone()
+        # At a budget the counts' search meets (one probe pass here),
+        # resamples whose searches need more fail the bootstrap, and the
+        # error names the first of them (row r + 1 of the batch is drawn
+        # from stream (seed, r)), so its (g, mean) is not read as the fit's
+        # own. The budget counts passes: a batch's searches run in
+        # lockstep, one point each.
+        counts, resamples, stage1, config, _ = _resamples_fitted_alone("bench-1")
         passes = []
         terms = inference._correlated_term
         monkeypatch.setattr(
