@@ -87,9 +87,10 @@ class FitConfig:
     """Solver settings shared by both fit stages.
 
     ``max_iterations`` caps each solver run: the stage-1 residual
-    evaluations, and the passes of the stage-2 mean search after the grid,
-    each one point of every histogram's search still running. The pass
-    that probes inside the ends counts like every other.
+    evaluations, and the points of a stage-2 mean search after the grid.
+    The point that probes inside an end of the range counts like every
+    other. In a batch each histogram's search counts its own points, so
+    it meets the budget exactly when its fit alone does.
     ``convergence_tol`` is the relative tolerance at which the solvers
     stop: stage 1 when a step lowers the objective, or moves the
     parameters, by less than this fraction; stage 2 when its bracket on
@@ -399,9 +400,11 @@ def _fit_stage2_batch(
     of every row still searching at once. A row's points, and the
     arithmetic on them, do not depend on the others, so each row is
     bitwise its fit alone. With one row, ``trace`` gets its best objective after every
-    evaluation. A search that exhausts the budget raises
-    FitConvergenceError naming its row: row 0 is "the counts" and row
-    ``k`` "resample k", the layout of ``fit_counts``.
+    evaluation. A row whose search has spent its budget and would need
+    another point leaves the search. Once the others are done,
+    FitConvergenceError names the lowest such row, with its best point,
+    as its fit alone would: row 0 is "the counts" and row ``k``
+    "resample k", the layout of ``fit_counts``.
     """
     weights = _weights(counts)
     after_loss = [
@@ -431,21 +434,8 @@ def _fit_stage2_batch(
         best[3, rows] += 1
         return values
 
-    passes = 0
-
     def probe(rows, log_means):
         # One pass: one new point of every search still running.
-        nonlocal passes
-        if passes == config.max_iterations:
-            row = int(rows[0])
-            raise FitConvergenceError(
-                f"stage-2 mean search of {'the counts' if row == 0 else f'resample {row}'} "
-                f"did not converge within {config.max_iterations} evaluations",
-                best=np.array([best[1, row], math.exp(best[2, row])]),
-                objective=float(best[0, row]),
-                row=row,
-            )
-        passes += 1
         return evaluate(rows, log_means, _correlated_term(stage1, log_means, after_loss) - product)
 
     grid = np.linspace(*_log_mean_range(stage1), _MEAN_GRID_POINTS)
@@ -478,9 +468,14 @@ def _fit_stage2_batch(
     w = v = x
     fw = fv = fx
     d = e = np.zeros(rows.size)
+    # A row's own budget: the grid, then max_iterations points of its search.
+    budget, spent = _MEAN_GRID_POINTS + config.max_iterations, []
     while True:
         mid = 0.5 * (a + b)
         running = np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)
+        over = running & (best[3, rows] >= budget)
+        spent += rows[over].tolist()
+        running &= ~over
         if not running.any():
             break
         if not running.all():
@@ -518,6 +513,15 @@ def _fit_stage2_batch(
         w = np.where(better, x, np.where(new_w, u, w))
         fw = np.where(better, fx, np.where(new_w, fu, fw))
         x, fx = np.where(better, u, x), np.where(better, fu, fx)
+    if spent:
+        row = min(spent)
+        raise FitConvergenceError(
+            f"stage-2 mean search of {'the counts' if row == 0 else f'resample {row}'} "
+            f"did not converge within {config.max_iterations} evaluations",
+            best=np.array([best[1, row], math.exp(best[2, row])]),
+            objective=float(best[0, row]),
+            row=row,
+        )
     return best
 
 

@@ -19,10 +19,26 @@ holds only two int32 photon-number buffers and one bool mask, about 9
 bytes per shot, which keeps a worker per available CPU cheap; its
 histogram is summed block by block, since one ``np.bincount`` of a whole
 int32 buffer would make an int64 copy of it.
+
+Speed: numpy's geometric and binomial samplers run a scalar loop per
+element. Where they invert one variate per element, a block's draws are
+made here as the same inversion on the whole block, written into its
+int32 buffer: thermal numbers at source means above 2 from standard
+exponentials, and loss and crosstalk thinning at ``p <= 0.5`` with every
+``count * p <= 30`` from uniforms. These consume exactly the variates
+numpy's samplers would, in the same order, and compute each draw with
+the same floating-point operations, so the stream and every histogram
+are unchanged. At means up to 2, at ``p > 0.5``, at ``count * p > 30``,
+and on the rare uniform that makes numpy's binomial draw again, the
+block is drawn by numpy's own call, the last from the state saved at
+the block's start. Dark counts are always numpy's Poisson. The tests
+pin each inversion to numpy's sampler on numpy 2.4.6; an older numpy
+was not tried.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -109,11 +125,89 @@ class SimConfig:
         _check_mean("det_v.dark_mean", self.det_v.dark_mean)
 
 
-def _thermal_draw(mean: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    # Geometric law on {0, 1, ...}; numpy's geometric counts trials from 1.
+def _thermal_into(out: np.ndarray, mean: float, rng: np.random.Generator) -> None:
+    """Fill the int32 block ``out`` with thermal numbers of mean ``mean``.
+
+    The law is geometric on {0, 1, ...}: numpy's ``geometric(p) - 1`` with
+    ``p = 1/(mean+1)``. For ``p < 1/3`` numpy inverts one standard
+    exponential ``E`` per draw, ``ceil(-E / log1p(-p))``; the same
+    inversion is made here on the whole block, from the same variates.
+    Otherwise numpy's own call is kept.
+    """
     if mean == 0.0:
-        return np.zeros(size, dtype=np.int64)
-    return rng.geometric(1.0 / (mean + 1.0), size=size) - 1
+        out[:] = 0
+        return
+    p = 1.0 / (mean + 1.0)
+    if p >= 1.0 / 3.0:  # numpy's sequential search branch
+        out[:] = rng.geometric(p, size=out.size) - 1
+        return
+    draws = rng.standard_exponential(out.size)
+    draws /= -math.log1p(-p)  # libm's log1p, as numpy's sampler calls it
+    np.ceil(draws, out=draws)
+    np.subtract(draws, 1.0, out=out, casting="unsafe")
+
+
+def _binomial_into(m: np.ndarray, p: float, rng: np.random.Generator, add: bool) -> None:
+    """Draw ``Binomial(m, p)`` for the integer block ``m`` and store the draws in it.
+
+    The draws replace ``m``, or with ``add`` are added to it. They are
+    those of numpy's ``rng.binomial(m, p)``, whichever way they are made.
+    """
+    drawn = _binomial_inversion(m, p, rng)
+    where, draws = drawn if drawn is not None else (slice(None), rng.binomial(m, p))
+    if not add:
+        m[:] = 0
+    m[where] += draws
+
+
+def _binomial_inversion(
+    m: np.ndarray, p: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """numpy's ``binomial(m, p)`` as the indices and values of its nonzero draws, or None.
+
+    For ``0 < p <= 0.5`` and every ``m * p <= 30`` numpy's sampler inverts
+    one uniform per nonzero count (BINV of Kachitvichyanukul & Schmeiser,
+    Commun. ACM 31, 216 (1988)); a zero count draws nothing. The same
+    recurrence runs here on all of them in lockstep, from the same
+    uniforms. Outside that regime, or when a count reaches 2**16 (the
+    table of ``(1-p)**m`` is indexed by count), None is returned and
+    nothing is drawn. A uniform beyond the recurrence's bound makes numpy
+    draw again for that count, which shifts every later draw; then the
+    generator is put back to its state on entry and None is returned.
+    """
+    top = int(m.max(initial=0))
+    if not (0.0 < p <= 0.5 and top * p <= 30.0 and top < _BLOCK_SHOTS):
+        return None
+    state = rng.bit_generator.state
+    nonzero = np.flatnonzero(m)
+    n = m[nonzero]
+    q = 1.0 - p
+    log_q = math.log(q)
+    # exp and log of libm, as numpy's sampler calls them; once per distinct count.
+    qn = np.zeros(top + 1)
+    for v in np.flatnonzero(np.bincount(n)).tolist():
+        qn[v] = math.exp(v * log_q)
+    px = qn.take(n)
+    u = rng.random(n.size)
+    # The counts whose uniform passes the mass at 0: every draw above 0.
+    running = np.flatnonzero(u > px)
+    hits, draws = nonzero[running], np.zeros(running.size, dtype=np.int32)
+    u, px, n = u[running], px[running], n[running]
+    mean = n * p
+    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1.0)).astype(np.int64)
+    running = np.arange(running.size)
+    k = 0
+    while running.size:
+        k += 1
+        if (bound < k).any():
+            rng.bit_generator.state = state
+            return None
+        u -= px
+        px = (n - (k - 1)) * p * px / (k * q)
+        draws[running] = k
+        more = u > px
+        running, u, px, n, bound = running[more], u[more], px[more], n[more], bound[more]
+    return hits, draws
 
 
 def _blocks(size: int):
@@ -143,12 +237,15 @@ def sample_pair(
     for b, n in _blocks(size):
         correlated[b] = rng.random(n) < source.correlation
     # n_v holds the shared numbers until mode v's own draws replace them.
+    for b, _ in _blocks(size):
+        _thermal_into(n_v[b], mean, rng)
+    for b, _ in _blocks(size):
+        _thermal_into(n_h[b], mean, rng)
+        np.copyto(n_h[b], n_v[b], where=correlated[b])
+    own = np.empty(min(size, _BLOCK_SHOTS), dtype=np.int32)
     for b, n in _blocks(size):
-        n_v[b] = _thermal_draw(mean, rng, n)
-    for b, n in _blocks(size):
-        n_h[b] = np.where(correlated[b], n_v[b], _thermal_draw(mean, rng, n))
-    for b, n in _blocks(size):
-        n_v[b] = np.where(correlated[b], n_v[b], _thermal_draw(mean, rng, n))
+        _thermal_into(own[:n], mean, rng)
+        np.copyto(n_v[b], own[:n], where=~correlated[b])
     return n_h, n_v
 
 
@@ -158,11 +255,11 @@ def _detect_in_place(m: np.ndarray, params: DetectorParams, rng: np.random.Gener
     Loss, then darks, then crosstalk, each one full pass over the blocks.
     """
     for b, _ in _blocks(m.size):
-        m[b] = rng.binomial(m[b], params.efficiency)
+        _binomial_into(m[b], params.efficiency, rng, add=False)
     for b, n in _blocks(m.size):
         m[b] += rng.poisson(params.dark_mean, size=n)
     for b, _ in _blocks(m.size):
-        m[b] += rng.binomial(m[b], params.crosstalk)
+        _binomial_into(m[b], params.crosstalk, rng, add=True)
 
 
 def detect_count(

@@ -948,8 +948,7 @@ class TestStage2Batch:
         # resamples whose searches need more fail the bootstrap, and the
         # error names the first of them (row r + 1 of the batch is drawn
         # from stream (seed, r)), so its (g, mean) is not read as the fit's
-        # own. The budget counts passes: a batch's searches run in
-        # lockstep, one point each.
+        # own. The budget counts each row's own search points.
         counts, resamples, stage1, config, _ = _resamples_fitted_alone("bench-1")
         passes = []
         terms = inference._correlated_term
@@ -974,6 +973,29 @@ class TestStage2Batch:
         row = stage2_batch([resamples[late[0] - 1]], stage1, config)[:, 0]
         g, mean = excinfo.value.best
         assert 0.0 <= g <= 1.0 and mean > 0.0 and excinfo.value.objective >= row[0]
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_batch_meets_the_budget_of_each_row_alone(self, index):
+        # Resamples 0 and 3 of "bench-1" search longer than the counts,
+        # which end on the mean cap after one probe. Batched with the
+        # counts at the budget each meets alone, both rows equal their fits
+        # alone; one point short, the batch fails on the resample's row
+        # with the best point and objective of its failure alone.
+        counts, resamples, stage1, config, _ = _resamples_fitted_alone("bench-1")
+        rows = [counts, resamples[index]]
+        alone = [stage2_batch([x], stage1, config)[:, 0] for x in rows]
+        points = int(alone[1][3]) - inference._MEAN_GRID_POINTS
+        assert points > int(alone[0][3]) - inference._MEAN_GRID_POINTS
+        exact = dataclasses.replace(config, max_iterations=points)
+        assert stage2_batch(rows, stage1, exact).T.tolist() == [x.tolist() for x in alone]
+        short = dataclasses.replace(config, max_iterations=points - 1)
+        with pytest.raises(FitConvergenceError) as failed_alone:
+            stage2_batch(rows[1:], stage1, short)
+        with pytest.raises(FitConvergenceError) as failed:
+            stage2_batch(rows, stage1, short)
+        assert failed.value.row == 1
+        assert failed.value.best.tolist() == failed_alone.value.best.tolist()
+        assert failed.value.objective == failed_alone.value.objective
 
 
 class TestModeSymmetry:

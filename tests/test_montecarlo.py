@@ -21,8 +21,11 @@ from photoncorr import (
 from photoncorr.montecarlo import (
     _BLOCK_SHOTS,
     _CHUNK_SHOTS,
+    _binomial_into,
+    _binomial_inversion,
     _simulate_chunk,
     _stream_rng,
+    _thermal_into,
     total_variation,
 )
 
@@ -88,6 +91,112 @@ class TestDetectCount:
         assert total_variation(hist, chan[:, n]) < 0.01
 
 
+def _twin_generators(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _assert_binomial_is_numpys(counts, p, add, seed):
+    # Values and the generator state after the draw equal numpy's binomial.
+    m = np.array(counts, dtype=np.int32)
+    rng, ref = _twin_generators(seed)
+    want = ref.binomial(m, p) + (m if add else 0)
+    _binomial_into(m, p, rng, add)
+    assert m.tolist() == want.tolist()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _FirstUniformHigh:
+    """Draws from ``rng``, except that the first uniform of each call is
+    1 - 2**-53, the largest numpy makes, so that it outruns the binomial
+    inversion's bound."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u[0] = 1.0 - 2.0 ** -53
+        return u
+
+    def binomial(self, n, p):
+        return self.rng.binomial(n, p)
+
+
+_counts = st.lists(st.integers(0, 3) | st.integers(0, 60) | st.integers(0, 5000),
+                   min_size=1, max_size=300)
+
+
+class TestInversionSamplers:
+    """The block-wise inversions make numpy's own draws from the same variates."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        mean=st.sampled_from([0.0, 1.0, 2.0, float(np.nextafter(2.0, 3.0)), PAPER_MEAN, 2.0 ** 20])
+        | st.floats(0.0, 1e4),
+        size=st.integers(1, 300),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_thermal_is_numpys_geometric(self, mean, size, seed):
+        # Mean 2.0 gives p = 1/3, numpy's search branch; just above it,
+        # the inversion.
+        rng, ref = _twin_generators(seed)
+        out = np.empty(size, dtype=np.int32)
+        _thermal_into(out, mean, rng)
+        if mean == 0.0:
+            want = np.zeros(size, dtype=np.int64)
+        else:
+            want = ref.geometric(1.0 / (mean + 1.0), size=size) - 1
+        assert out.tolist() == want.tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        counts=_counts | st.lists(st.just(0), min_size=1, max_size=10),
+        p=st.sampled_from([0.0, 0.01, 0.012, 0.12, 0.49, 0.5]) | st.floats(0.0, 1.0),
+        add=st.booleans(),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_binomial_is_numpys(self, counts, p, add, seed):
+        _assert_binomial_is_numpys(counts, p, add, seed)
+
+    @pytest.mark.parametrize("counts, p, inverted", [
+        pytest.param([0, 5, 0, 60, 60], 0.5, True, id="np30-p0.5"),
+        pytest.param([0, 5, 0, 61, 60], 0.5, False, id="np30.5"),
+        pytest.param([120, 1, 0], 0.25, True, id="np30-p0.25"),
+        pytest.param([121, 1, 0], 0.25, False, id="np30.25"),
+        pytest.param([0, 0, 0], 0.3, True, id="all-zero"),
+        pytest.param([3, 4], 0.0, False, id="p0"),
+        pytest.param([3, 4], 0.5000001, False, id="p-above-half"),
+        pytest.param([60_000, 7, 0], 1e-4, True, id="large-n"),
+        pytest.param([2 ** 20, 7, 0], 1e-5, False, id="n-beyond-table"),
+    ])
+    def test_binomial_branch_edges(self, counts, p, inverted):
+        m = np.array(counts, dtype=np.int32)
+        probe = np.random.default_rng(0)
+        assert (_binomial_inversion(m, p, probe) is not None) == inverted
+        for add in (False, True):
+            _assert_binomial_is_numpys(counts, p, add, seed=9)
+
+    def test_restart_redraws_the_block_with_numpy(self):
+        # At n = 100, p = 0.01 the inversion gives up past 15, and the
+        # largest uniform outruns the mass up to there: numpy would draw
+        # again. The block is then numpy's draw from the state on entry.
+        m = np.array([100, 0, 7, 100, 3] * 40, dtype=np.int32)
+        rng, ref = _twin_generators(8)
+        high = _FirstUniformHigh(rng)
+        assert _binomial_inversion(m, 0.01, high) is None
+        assert rng.bit_generator.state == ref.bit_generator.state
+        want = ref.binomial(m, 0.01)
+        _binomial_into(m, 0.01, high, add=False)
+        assert m.tolist() == want.tolist()
+        # The next draw is numpy's too.
+        want = ref.binomial(m, 0.3)
+        _binomial_into(m, 0.3, rng, add=False)
+        assert m.tolist() == want.tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _reference_chunk(config, index, shots):
     """Whole-chunk draws and a masked histogram: the Monte Carlo before its
     draws were made block-wise. Each draw is one call over all ``shots``."""
@@ -139,6 +248,13 @@ class TestBlockwiseChunk:
         # buffers are built for.
         pytest.param(SourceParams(2 ** 20, 0.5), PAPER_DET_H, PAPER_DET_V, 12,
                      id="int32-limit"),
+        # p = 1/3: numpy's search branch of the geometric.
+        pytest.param(SourceParams(2.0, 0.5), PAPER_DET_H, PAPER_DET_V, 10, id="mean2"),
+        pytest.param(SourceParams(PAPER_MEAN, 0.5), DetectorParams(0.5, 0.1, 0.49),
+                     DetectorParams(0.5, 0.2, 0.49), 14, id="p0.5-crosstalk0.49"),
+        # Loss counts with n p > 30 take numpy's own binomial.
+        pytest.param(SourceParams(400.0, 0.5), DetectorParams(0.5, 0.1, 0.1),
+                     DetectorParams(0.5, 0.2, 0.1), 300, id="mean400-np-above-30"),
     ])
     def test_equals_reference_at_edge_parameters(self, source, det_h, det_v, n_max):
         shots = 2 * _BLOCK_SHOTS + 17
