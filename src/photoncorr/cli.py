@@ -2,10 +2,10 @@
 
 Every command reads a JSON config (plus flag overrides), writes its data
 files atomically into the output directory, and records a manifest with
-the fully resolved configuration, seed, tool version, file paths, and
-wall-clock duration. Data files are byte-identical across reruns with
-the same inputs and seed; the manifest differs only in its duration
-field.
+the fully resolved configuration, seed, tool version, file paths,
+wall-clock duration and the process's peak resident memory. Data files
+are byte-identical across reruns with the same inputs and seed; the
+manifest differs only in its duration and peak memory fields.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
@@ -22,6 +22,11 @@ import time
 import typing
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # resource exists on Unix only
+    resource = None
 
 from . import __version__
 from .distributions import SourceParams
@@ -124,6 +129,18 @@ def _sim_config(config: dict, args) -> SimConfig:
     )
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident memory so far in MB, or None where it is unknown.
+
+    This is the whole process's peak, not one command's: a caller that runs
+    several commands in one process sees the largest so far.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)  # bytes there, else KiB
+
+
 def _write_manifest(out_dir: str, command: str, resolved: dict, seed,
                     inputs: list[str], outputs: list[str], started: float) -> str:
     path = os.path.join(out_dir, f"{command}_manifest.json")
@@ -136,6 +153,7 @@ def _write_manifest(out_dir: str, command: str, resolved: dict, seed,
             "inputs": inputs,
             "outputs": outputs,
             "duration_seconds": time.time() - started,
+            "peak_rss_mb": _peak_rss_mb(),
         },
         path,
     )

@@ -15,15 +15,20 @@ Memory: inside a chunk every random draw is made in blocks of
 ``_BLOCK_SHOTS`` shots, one full pass over the blocks per kind of draw,
 so the stream order is the one a single whole-chunk call would give.
 numpy draws element by element, so the numbers are the same too. A chunk
-holds only two int32 photon-number buffers and one bool mask, about 9
-bytes per shot, which keeps a worker per available CPU cheap; its
-histogram is summed block by block, since one ``np.bincount`` of a whole
-int32 buffer would make an int64 copy of it.
+holds only its two photon-number buffers, which keeps a worker per
+available CPU cheap: the component choices and the marks of the shots
+still waiting for a number live in those buffers until their own draws
+replace them. The buffers are int16 (4 bytes per shot, about 4 MiB per
+chunk) when the source mean and both dark means are at most 15, and
+int32 (8 bytes per shot) otherwise; see ``_count_dtype``. The clamp, the
+cell index and the histogram are made block by block in ``intp``, since
+a cell index does not fit in int16 and one ``np.bincount`` of a whole
+buffer would make an int64 copy of it.
 
 Speed: numpy's geometric and binomial samplers run a scalar loop per
 element. Where they invert one variate per element, a block's draws are
 made here as the same inversion on the whole block, written into its
-int32 buffer: thermal numbers at source means above 2 from standard
+buffer: thermal numbers at source means above 2 from standard
 exponentials, and loss and crosstalk thinning at ``p <= 0.5`` with every
 ``count * p <= 30`` from uniforms. These consume exactly the variates
 numpy's samplers would, in the same order, and compute each draw with
@@ -55,6 +60,11 @@ _BLOCK_SHOTS = 1 << 16
 # e^-512 (a Poisson dark count far less), and a detected count is at most
 # 2 * (photons + darks), which then stays below 2^31.
 _MAX_MEAN = float(1 << 20)
+# Largest source mean and dark mean for int16 buffers. A thermal number of
+# mean 15 reaches 2^13 with probability (15/16)^8192, about e^-529, below
+# the e^-512 the int32 limit accepts per draw (a Poisson dark count of mean
+# 15 far less), and a detected count then stays below 2 * 2^14 = 2^15.
+_INT16_MAX_MEAN = 15.0
 
 
 def _check_mean(name: str, value: float) -> None:
@@ -100,10 +110,10 @@ class SimConfig:
     """Full configuration of one simulated acquisition.
 
     ``source.mean_photons`` and each detector's ``dark_mean`` are at most
-    ``2**20``: the Monte Carlo holds photon numbers and counts as int32,
-    and above that limit a count could wrap. For the same reason the
-    histogram's cell index, below ``(n_max + 2)**2``, bounds ``n_max`` by
-    46338.
+    ``2**20``: the Monte Carlo holds photon numbers and counts as int32 at
+    most (int16 when all three means are at most 15), and above that
+    limit a count could wrap. The histogram's cell index, below
+    ``(n_max + 2)**2``, bounds ``n_max`` by 46338.
     """
 
     source: SourceParams
@@ -126,7 +136,7 @@ class SimConfig:
 
 
 def _thermal_into(out: np.ndarray, mean: float, rng: np.random.Generator) -> None:
-    """Fill the int32 block ``out`` with thermal numbers of mean ``mean``.
+    """Fill the integer block ``out`` with thermal numbers of mean ``mean``.
 
     The law is geometric on {0, 1, ...}: numpy's ``geometric(p) - 1`` with
     ``p = 1/(mean+1)``. For ``p < 1/3`` numpy inverts one standard
@@ -226,27 +236,46 @@ def sample_pair(
     (identical thermal numbers in both modes), otherwise the two modes
     are independent thermal draws. The draws come in this order: all
     component choices, all shared numbers, all of mode h's own numbers,
-    then all of mode v's. Returns two int32 arrays; the source mean must
-    be at most ``2**20`` so that they cannot wrap.
+    then all of mode v's. Returns two int32 arrays whatever the mean (the
+    Monte Carlo's own chunks take int16 where ``_count_dtype`` allows);
+    the source mean must be at most ``2**20`` so that they cannot wrap.
     """
-    mean = source.mean_photons
-    _check_mean("mean_photons", mean)
-    correlated = np.empty(size, dtype=bool)
+    _check_mean("mean_photons", source.mean_photons)
     n_h = np.empty(size, dtype=np.int32)
     n_v = np.empty(size, dtype=np.int32)
-    for b, n in _blocks(size):
-        correlated[b] = rng.random(n) < source.correlation
-    # n_v holds the shared numbers until mode v's own draws replace them.
-    for b, _ in _blocks(size):
-        _thermal_into(n_v[b], mean, rng)
-    for b, _ in _blocks(size):
-        _thermal_into(n_h[b], mean, rng)
-        np.copyto(n_h[b], n_v[b], where=correlated[b])
-    own = np.empty(min(size, _BLOCK_SHOTS), dtype=np.int32)
-    for b, n in _blocks(size):
-        _thermal_into(own[:n], mean, rng)
-        np.copyto(n_v[b], own[:n], where=~correlated[b])
+    _sample_pair_into(n_h, n_v, source, rng)
     return n_h, n_v
+
+
+def _sample_pair_into(
+    n_h: np.ndarray, n_v: np.ndarray, source: SourceParams, rng: np.random.Generator
+) -> None:
+    """``sample_pair``'s draws, written into the signed integer buffers ``n_h`` and ``n_v``.
+
+    Each buffer holds other draws until its own replace them: ``n_h`` the
+    component choices (1 for correlated), ``n_v`` the shared numbers, and
+    then -1 where a shot still waits for mode v's own number. The merges
+    are arithmetic on 0/1 factors, which makes the same numbers as a
+    masked copy without its branch per element.
+    """
+    mean = source.mean_photons
+    for b, n in _blocks(n_h.size):
+        np.less(rng.random(n), source.correlation, out=n_h[b])
+    for b, _ in _blocks(n_v.size):
+        _thermal_into(n_v[b], mean, rng)
+    for b, _ in _blocks(n_h.size):
+        correlated = n_h[b] == 1
+        _thermal_into(n_h[b], mean, rng)
+        # Correlated shots take the shared number in n_h and keep it in n_v;
+        # the others are marked -1 in n_v.
+        n_h[b] += correlated * (n_v[b] - n_h[b])
+        n_v[b] += 1
+        n_v[b] *= correlated
+        n_v[b] -= 1
+    own = np.empty(min(n_v.size, _BLOCK_SHOTS), dtype=n_v.dtype)
+    for b, n in _blocks(n_v.size):
+        _thermal_into(own[:n], mean, rng)
+        n_v[b] += (n_v[b] < 0) * (own[:n] + 1)
 
 
 def _detect_in_place(m: np.ndarray, params: DetectorParams, rng: np.random.Generator) -> None:
@@ -281,21 +310,33 @@ def _stream_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
+def _count_dtype(config: SimConfig) -> type:
+    """The integer type of a chunk's buffers: int16 if every mean of ``config``
+    is at most ``_INT16_MAX_MEAN``, else int32."""
+    means = (config.source.mean_photons, config.det_h.dark_mean, config.det_v.dark_mean)
+    return np.int16 if max(means) <= _INT16_MAX_MEAN else np.int32
+
+
 def _simulate_chunk(config: SimConfig, index: int, shots: int) -> tuple[np.ndarray, int]:
     rng = _stream_rng(config.seed, index)
-    m_h, m_v = sample_pair(config.source, rng, size=shots)
+    dtype = _count_dtype(config)
+    m_h, m_v = np.empty(shots, dtype=dtype), np.empty(shots, dtype=dtype)
+    _sample_pair_into(m_h, m_v, config.source, rng)
     _detect_in_place(m_h, config.det_h, rng)
     _detect_in_place(m_v, config.det_v, rng)
     # Clamp into one overflow row/column, so every pair lands in a cell of
     # a (n_max+2)^2 grid whose top-left (n_max+1)^2 block is the histogram.
+    # The cell index is made per block in intp, since in int16 it could
+    # wrap; its buffers are reused, as fresh ones cost a page fault a page.
     side = config.n_max + 2
-    np.minimum(m_h, side - 1, out=m_h)
-    np.minimum(m_v, side - 1, out=m_v)
-    m_h *= side
-    m_h += m_v
     flat = np.zeros(side * side, dtype=np.int64)
-    for b, _ in _blocks(shots):
-        flat += np.bincount(m_h[b], minlength=side * side)
+    cell, column = np.empty((2, min(shots, _BLOCK_SHOTS)), dtype=np.intp)
+    for b, n in _blocks(shots):
+        np.minimum(m_h[b], side - 1, out=cell[:n], dtype=np.intp)
+        cell[:n] *= side
+        np.minimum(m_v[b], side - 1, out=column[:n], dtype=np.intp)
+        cell[:n] += column[:n]
+        flat += np.bincount(cell[:n], minlength=side * side)
     counts = flat.reshape(side, side)[:-1, :-1]
     return counts, shots - int(counts.sum())
 

@@ -152,6 +152,10 @@ UNCALLED_ON_PURPOSE = {
     # The event-level detection reference that tests/test_detector.py
     # compares the composed channel against.
     "detect_count",
+    # The public source sampler, int32 whatever the means; the Monte Carlo's
+    # chunks fill their own buffers, of the width the means allow, through
+    # the private helper it wraps.
+    "sample_pair",
 }
 
 

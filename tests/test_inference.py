@@ -810,13 +810,15 @@ class TestStage2Batch:
             np.testing.assert_array_equal(best, want)
 
     def test_term_builds_do_not_grow_with_resamples(self, monkeypatch):
-        # A batch builds the product term once, and the correlated term in
-        # one pass over the grid, then one pass per step of its
-        # longest-running row, whatever the number of rows.
-        counts = simulate_counts(0.5, PAPER_DET_H, PAPER_DET_V, 10 ** 5, 17, 12)
-        config = FitConfig()
+        # A batch builds the product term once, and the correlated term once
+        # per pass: one over the grid, one probe pass if any row's grid
+        # minimum is an end of the range, then one per Brent step of the row
+        # that takes the most, whatever the number of rows. A row's Brent
+        # passes are its passes alone less its probe, if it starts on an end.
+        # On "bench-1" the rows differ in their Brent passes.
+        counts, config = _solver_input("bench-1")
         stage1 = fit_stage1(counts, config)
-        calls = []
+        calls, values = [], []
 
         def counting(function):
             def wrapper(*args):
@@ -825,22 +827,32 @@ class TestStage2Batch:
 
             return wrapper
 
-        def calls_to(function, fit, *args):
-            calls.clear()
-            fit(*args)
-            return calls.count(function)
-
         product, correlated = inference._product_term, inference._correlated_term
+        keep = inference._keep_first_best
         monkeypatch.setattr(inference, "_product_term", counting(product))
         monkeypatch.setattr(inference, "_correlated_term", counting(correlated))
+        monkeypatch.setattr(
+            inference, "_keep_first_best",
+            lambda best, rows, v, g, u: values.append(v) or keep(best, rows, v, g, u),
+        )
+
+        def brent_passes(x):
+            # The Brent passes of ``x`` fitted alone, and whether it starts on an end.
+            calls.clear()
+            values.clear()
+            fit_stage2(x, stage1, config)
+            k = int(np.concatenate(values[:inference._MEAN_GRID_POINTS]).argmin())
+            on_end = k in (0, inference._MEAN_GRID_POINTS - 1)
+            return calls.count(correlated) - 1 - on_end, on_end
+
+        resamples = [poisson_resample(counts, _stream_rng(3, r)) for r in range(40)]
+        rows = [brent_passes(x) for x in [counts, *resamples]]
         for n_resamples in (20, 40):
-            resamples = [poisson_resample(counts, _stream_rng(3, r)) for r in range(n_resamples)]
-            passes = max(
-                calls_to(correlated, fit_stage2, x, stage1, config) - 1
-                for x in [counts, *resamples]
-            )
-            builds = calls_to(correlated, resample_batch, counts, n_resamples, 3, stage1, config)
-            assert builds == 1 + passes, n_resamples
+            passes, on_end = zip(*rows[:1 + n_resamples])
+            assert len(set(passes)) > 1, n_resamples
+            calls.clear()
+            resample_batch(counts, n_resamples, 3, stage1, config)
+            assert calls.count(correlated) == 1 + any(on_end) + max(passes), n_resamples
             assert calls.count(product) == 1, n_resamples
 
     def test_search_takes_few_evaluations(self):

@@ -154,6 +154,15 @@ class TestSimulateCommand:
         assert manifest["command"] == "simulate"
         assert str(out / "counts.csv") in manifest["outputs"]
         assert manifest["seed"] == 13
+        assert manifest["peak_rss_mb"] > 0.0
+
+    def test_manifest_peak_memory_null_without_resource(self, tmp_path, monkeypatch):
+        # Where the resource module does not exist, the peak is unknown.
+        monkeypatch.setattr(photoncorr.cli, "resource", None)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path / "config.json"),
+                     "--out", str(out)]) == 0
+        assert read_json(out / "simulate_manifest.json")["peak_rss_mb"] is None
 
     def test_byte_identical_reruns(self, tmp_path):
         config = write_config(tmp_path / "config.json")

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from photoncorr.montecarlo import (
     _CHUNK_SHOTS,
     _binomial_into,
     _binomial_inversion,
+    _count_dtype,
     _simulate_chunk,
     _stream_rng,
     _thermal_into,
@@ -248,6 +250,12 @@ class TestBlockwiseChunk:
         # buffers are built for.
         pytest.param(SourceParams(2 ** 20, 0.5), PAPER_DET_H, PAPER_DET_V, 12,
                      id="int32-limit"),
+        # The largest means of int16 buffers, and the smallest source mean
+        # of int32 ones.
+        pytest.param(SourceParams(15.0, 0.5), DetectorParams(0.5, 15.0, 0.1),
+                     DetectorParams(0.6, 15.0, 0.2), 40, id="int16-limit"),
+        pytest.param(SourceParams(math.nextafter(15.0, math.inf), 0.5), PAPER_DET_H,
+                     PAPER_DET_V, 12, id="int32-above-int16-limit"),
         # p = 1/3: numpy's search branch of the geometric.
         pytest.param(SourceParams(2.0, 0.5), PAPER_DET_H, PAPER_DET_V, 10, id="mean2"),
         pytest.param(SourceParams(PAPER_MEAN, 0.5), DetectorParams(0.5, 0.1, 0.49),
@@ -278,8 +286,9 @@ class TestBlockwiseChunk:
     )
     def test_random_stream_equals_reference(self, mean, g, efficiency, dark, crosstalk,
                                             n_max, shots, seed, index):
-        # The stream contract: block-wise draws into int32 buffers give the
-        # histogram of whole-chunk int64 draws, bit for bit.
+        # The stream contract: block-wise draws into int16 or int32 buffers
+        # (means above 15 take int32) give the histogram of whole-chunk
+        # int64 draws, bit for bit.
         det_h, det_v = (DetectorParams(*p) for p in zip(efficiency, dark, crosstalk))
         config = SimConfig(SourceParams(mean, g), det_h, det_v, shots, seed, n_max)
         counts, overflow = _simulate_chunk(config, index, shots)
@@ -287,18 +296,42 @@ class TestBlockwiseChunk:
         assert np.array_equal(counts, ref_counts)
         assert overflow == ref_overflow
 
-    def test_working_set_of_full_chunk(self):
-        # About 9 bytes per shot: two int32 buffers and one bool mask.
-        # This bound is what makes one worker per available CPU safe.
-        config = SimConfig(SourceParams(PAPER_MEAN, 0.5), PAPER_DET_H, PAPER_DET_V,
+    @staticmethod
+    def chunk_peak(mean):
+        """The tracemalloc peak of one full chunk at source mean ``mean``."""
+        config = SimConfig(SourceParams(mean, 0.5), PAPER_DET_H, PAPER_DET_V,
                            _CHUNK_SHOTS, 1, 12)
         tracemalloc.start()
         try:
             _simulate_chunk(config, 0, _CHUNK_SHOTS)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2 ** 20
+
+    def test_working_set_of_full_chunk(self):
+        # About 4 bytes per shot: two int16 buffers, plus about 2 MiB of
+        # block temporaries. This bound is what makes one worker per
+        # available CPU safe.
+        assert self.chunk_peak(PAPER_MEAN) <= 7 * 2 ** 20
+
+    def test_working_set_of_full_int32_chunk(self):
+        # A source mean above 15 takes two int32 buffers: about 8 bytes per shot.
+        assert self.chunk_peak(16.0) <= 12 * 2 ** 20
+
+
+class TestCountWidth:
+    # int16 holds every count when the source mean and both dark means are
+    # at most 15; any larger mean takes int32.
+    @pytest.mark.parametrize("key", ["mean", "dark_h", "dark_v"])
+    def test_fifteen_is_the_int16_limit(self, key):
+        def config(value):
+            means = {"mean": 1.0, "dark_h": 0.1, "dark_v": 0.1, key: value}
+            return SimConfig(SourceParams(means["mean"], 0.5),
+                             DetectorParams(0.5, means["dark_h"], 0.1),
+                             DetectorParams(0.5, means["dark_v"], 0.1), 100, 1, 12)
+
+        assert _count_dtype(config(15.0)) is np.int16
+        assert _count_dtype(config(math.nextafter(15.0, math.inf))) is np.int32
 
 
 class TestInt32Limit:
