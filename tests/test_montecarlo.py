@@ -22,9 +22,11 @@ from photoncorr import (
 from photoncorr.montecarlo import (
     _BLOCK_SHOTS,
     _CHUNK_SHOTS,
+    _LOCKSTEP_MAX_DARK,
     _binomial_into,
     _binomial_inversion,
     _count_dtype,
+    _poisson_add,
     _simulate_chunk,
     _stream_rng,
     _thermal_into,
@@ -168,6 +170,8 @@ class TestInversionSamplers:
         pytest.param([120, 1, 0], 0.25, True, id="np30-p0.25"),
         pytest.param([121, 1, 0], 0.25, False, id="np30.25"),
         pytest.param([0, 0, 0], 0.3, True, id="all-zero"),
+        # The table of (1-p)**n at every count up to the largest.
+        pytest.param([1] * 200 + [2, 0], 0.3, True, id="table-every-count"),
         pytest.param([3, 4], 0.0, False, id="p0"),
         pytest.param([3, 4], 0.5000001, False, id="p-above-half"),
         pytest.param([60_000, 7, 0], 1e-4, True, id="large-n"),
@@ -197,6 +201,182 @@ class TestInversionSamplers:
         _binomial_into(m, 0.3, rng, add=False)
         assert m.tolist() == want.tolist()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _knuth_poisson(u, lam, size):
+    """numpy's Poisson sampler below a mean of 10, in Python, over the
+    uniforms ``u``: the first ``size`` draws and the number of uniforms
+    they take."""
+    end, used, draws = math.exp(-lam), 0, []
+    for _ in range(size):
+        draw, product = 0, 1.0
+        while True:
+            product *= u[used]
+            used += 1
+            if product <= end:
+                break
+            draw += 1
+        draws.append(draw)
+    return draws, used
+
+
+class _UniformsSetAt:
+    """Draws from ``rng``, except that each call's uniforms from ``at`` on
+    are ``values`` (as many as fit). The uniforms of the last call are
+    kept, and ``poisson`` calls are counted, so a test sees which path ran."""
+
+    def __init__(self, rng, at=0, values=()):
+        self.rng, self.at, self.values = rng, at, values
+        self.bit_generator = rng.bit_generator
+        self.poisson_calls = 0
+
+    def random(self, size):
+        u = self.rng.random(size)
+        values = self.values[:max(size - self.at, 0)]
+        u[self.at:self.at + len(values)] = values
+        self.uniforms = u.copy()
+        return u
+
+    def poisson(self, lam, size):
+        self.poisson_calls += 1
+        return self.rng.poisson(lam, size=size)
+
+
+def _buffered_pcg64(seed):
+    """A PCG64 generator that holds the unused half of a 32-bit draw."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _stale_pcg64(seed):
+    """A PCG64 generator whose 32-bit half is used up but still stored."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.integers(0, 10, size=2, dtype=np.uint32)
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 0 and state["uinteger"] != 0
+    return rng
+
+
+def _state(rng):
+    """The state of ``rng``'s bit generator, its arrays as lists, so that
+    states compare with ``==`` (Philox and MT19937 keep arrays)."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
+def _assert_poisson_is_numpys(start, lam, rng, ref):
+    # Values, the generator state after the draw and the next draw equal
+    # numpy's poisson.
+    m = np.array(start)
+    want = m + ref.poisson(lam, size=m.size)
+    _poisson_add(m, lam, rng)
+    assert m.tolist() == want.tolist()
+    assert _state(rng) == _state(ref)
+    assert rng.random() == ref.random()
+
+
+class TestPoissonAdd:
+    """The lockstep products make numpy's own Poisson draws from the same uniforms."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        lam=st.sampled_from([0.0, 1e-9, 0.02, PAPER_DET_H.dark_mean, PAPER_DET_V.dark_mean,
+                             _LOCKSTEP_MAX_DARK, math.nextafter(_LOCKSTEP_MAX_DARK, math.inf)])
+        | st.floats(0.0, 2 * _LOCKSTEP_MAX_DARK),
+        size=st.integers(1, 3000) | st.sampled_from([1, _BLOCK_SHOTS]),
+        base=st.integers(0, 3),
+        dtype=st.sampled_from([np.int16, np.int32, np.int64]),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_poisson_is_numpys(self, lam, size, base, dtype, seed):
+        rng, ref = _twin_generators(seed)
+        _assert_poisson_is_numpys(np.full(size, base, dtype=dtype), lam, rng, ref)
+
+    def test_knuth_oracle_is_numpys(self):
+        u = np.random.default_rng(4).random(5000)
+        draws, used = _knuth_poisson(u, 0.7, 2000)
+        ref = np.random.default_rng(4)
+        assert draws == ref.poisson(0.7, size=2000).tolist()
+        ref.bit_generator.advance(-used)
+        assert ref.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+    @pytest.mark.parametrize("at", [0, 500, 999])
+    def test_runs_with_inner_ends(self, at):
+        # At lam = 0.11 every uniform set here is big (above exp(-lam), about
+        # 0.896): 0.95 * 0.94 ends a draw inside a run, and 0.99**11 ends a
+        # draw of 10, twice in the run of thirty, so one run holds several
+        # ends.
+        values = [0.95, 0.94, 0.99, 0.95, 0.94] + [0.99] * 30 + [0.9, 0.995, 0.9]
+        rng, ref = _twin_generators(6)
+        forced = _UniformsSetAt(rng, at, values)
+        m = np.zeros(1000, dtype=np.int16)
+        _poisson_add(m, 0.11, forced)
+        assert forced.poisson_calls == 0
+        draws, used = _knuth_poisson(forced.uniforms, 0.11, m.size)
+        assert m.tolist() == draws
+        assert max(draws) >= 10
+        ref.bit_generator.advance(used)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_short_margin_redraws_the_block_with_numpy(self):
+        # No uniform ends a draw, so the margin holds none of them: the
+        # block is numpy's draw from the state on entry.
+        rng, ref = _twin_generators(8)
+        high = _UniformsSetAt(rng, 0, [1.0 - 2.0 ** -53] * 4000)
+        m = np.zeros(1000, dtype=np.int16)
+        _poisson_add(m, 0.11, high)
+        assert high.poisson_calls == 1
+        assert m.tolist() == ref.poisson(0.11, size=1000).tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("make, lam, size, lockstep", [
+        pytest.param(np.random.default_rng, 0.0, 100, False, id="lam0"),
+        pytest.param(np.random.default_rng, 1e-9, 1000, True, id="all-zero"),
+        pytest.param(np.random.default_rng, 0.11, 1, True, id="n1"),
+        pytest.param(np.random.default_rng, PAPER_DET_V.dark_mean, _BLOCK_SHOTS, True,
+                     id="paper-block"),
+        pytest.param(np.random.default_rng, _LOCKSTEP_MAX_DARK, 1000, True, id="at-cap"),
+        pytest.param(np.random.default_rng, math.nextafter(_LOCKSTEP_MAX_DARK, math.inf),
+                     1000, False, id="above-cap"),
+        pytest.param(lambda seed: np.random.Generator(np.random.Philox(seed)), 0.11, 1000,
+                     False, id="philox"),
+        pytest.param(lambda seed: np.random.Generator(np.random.MT19937(seed)), 0.11, 1000,
+                     False, id="mt19937"),
+        pytest.param(lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)), 0.11, 1000,
+                     False, id="pcg64dxsm"),
+        pytest.param(_buffered_pcg64, 0.11, 1000, False, id="pcg64-buffered-32-bit"),
+        pytest.param(_stale_pcg64, 0.11, 1000, False, id="pcg64-stale-32-bit"),
+    ])
+    def test_poisson_branch_edges(self, make, lam, size, lockstep):
+        spy = _UniformsSetAt(make(9))
+        _poisson_add(np.zeros(size, dtype=np.int16), lam, spy)
+        assert spy.poisson_calls == (0 if lockstep else 1)
+        _assert_poisson_is_numpys(np.zeros(size, dtype=np.int16), lam, make(9), make(9))
+        if lam == 1e-9:
+            assert not make(9).poisson(lam, size=size).any()
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda seed: np.random.Generator(np.random.Philox(seed)), id="philox"),
+        pytest.param(lambda seed: np.random.Generator(np.random.MT19937(seed)), id="mt19937"),
+        pytest.param(_buffered_pcg64, id="pcg64-buffered-32-bit"),
+    ])
+    def test_detect_count_draws_numpys_stream_on_any_generator(self, make):
+        # Only a PCG64 with no 32-bit half held is advanced past the darks:
+        # Philox.advance counts 256-bit blocks, MT19937 has no advance, and
+        # advance would clear the held half.
+        n = np.arange(2 * _BLOCK_SHOTS + 5, dtype=np.int64) % 9
+        rng, ref = make(9), make(9)
+        out = detect_count(n, PAPER_DET_H, rng)
+        fired = ref.binomial(n, PAPER_DET_H.efficiency) + ref.poisson(
+            PAPER_DET_H.dark_mean, size=n.size)
+        want = fired + ref.binomial(fired, PAPER_DET_H.crosstalk)
+        assert out.tolist() == want.tolist()
+        assert _state(rng) == _state(ref)
 
 
 def _reference_chunk(config, index, shots):
@@ -263,6 +443,16 @@ class TestBlockwiseChunk:
         # Loss counts with n p > 30 take numpy's own binomial.
         pytest.param(SourceParams(400.0, 0.5), DetectorParams(0.5, 0.1, 0.1),
                      DetectorParams(0.5, 0.2, 0.1), 300, id="mean400-np-above-30"),
+        # The largest dark mean of the lockstep Poisson, the smallest of
+        # numpy's, and a mode without darks.
+        pytest.param(SourceParams(PAPER_MEAN, 0.5), DetectorParams(0.5, _LOCKSTEP_MAX_DARK, 0.1),
+                     DetectorParams(0.6, _LOCKSTEP_MAX_DARK, 0.2), 14, id="darks-at-cap"),
+        pytest.param(SourceParams(PAPER_MEAN, 0.5),
+                     DetectorParams(0.5, math.nextafter(_LOCKSTEP_MAX_DARK, math.inf), 0.1),
+                     DetectorParams(0.6, math.nextafter(_LOCKSTEP_MAX_DARK, math.inf), 0.2),
+                     14, id="darks-above-cap"),
+        pytest.param(SourceParams(PAPER_MEAN, 0.5), PAPER_DET_H,
+                     DetectorParams(0.010, 0.0, 0.11), 12, id="one-mode-dark0"),
     ])
     def test_equals_reference_at_edge_parameters(self, source, det_h, det_v, n_max):
         shots = 2 * _BLOCK_SHOTS + 17
