@@ -9,7 +9,10 @@ as an independent oracle for the analytic forward model.
 Reproducibility contract: a ``SimConfig`` (including its seed) fully
 determines the output. Shots are split into fixed-size chunks, each with
 an RNG stream derived from ``(seed, chunk_index)``; the merged histogram
-is identical whether chunks run serially or on any number of workers.
+is identical whether chunks run serially or on any number of worker
+processes, and with or without ``os.fork``. A histogram is returned only
+when every chunk ran: a worker that raises, exits non-zero or dies by a
+signal makes ``simulate`` raise.
 
 Memory: inside a chunk every random draw is made in blocks of
 ``_BLOCK_SHOTS`` shots, one full pass over the blocks per kind of draw,
@@ -49,7 +52,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -418,15 +423,94 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_chunks(config: SimConfig, chunks: list[tuple[int, int]]) -> tuple[np.ndarray, int]:
+    """The summed ``(counts, overflow)`` of the ``(index, shots)`` chunks."""
+    dim = config.n_max + 1
+    counts = np.zeros((dim, dim), dtype=np.int64)
+    overflow = 0
+    for index, shots in chunks:
+        chunk_counts, chunk_overflow = _simulate_chunk(config, index, shots)
+        counts += chunk_counts
+        overflow += chunk_overflow
+    return counts, overflow
+
+
+def _fork_worker(config: SimConfig, chunks: list[tuple[int, int]]):
+    """Run ``chunks`` in a forked child; return its pid and the pipe it reports on.
+
+    The child pickles ``(result, None, None)``, or ``(None, error, trace)``
+    with the pickled exception (None if it does not pickle) and its
+    traceback text, and exits 0 only once that report is written. It leaves
+    by ``os._exit`` whatever happens, so it never returns into the caller.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                try:
+                    report = (_run_chunks(config, chunks), None, None)
+                except BaseException as error:
+                    trace = traceback.format_exc()
+                    try:
+                        report = (None, pickle.dumps(error), trace)
+                    except Exception:
+                        report = (None, None, trace)
+                pickle.dump(report, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _worker_result(pid: int, status: int, report: bytes) -> tuple[np.ndarray, int]:
+    """A worker's ``(counts, overflow)`` from its wait status and report, or raise."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise RuntimeError(f"Monte Carlo worker process {pid} was killed by signal {-code}")
+    if code != 0:
+        raise RuntimeError(f"Monte Carlo worker process {pid} exited with status {code}")
+    result, error, trace = pickle.loads(report)
+    if trace is None:
+        return result
+    context = RuntimeError(f"in Monte Carlo worker process {pid}:\n{trace}")
+    try:
+        error = pickle.loads(error)
+    except Exception:
+        raise context from None
+    raise error from context
+
+
 def simulate(config: SimConfig, workers: int | None = None) -> CountsMatrix:
     """Run a full acquisition and histogram the detected pairs.
 
-    Chunks run on ``workers`` threads, by default one per CPU available
-    to the process. The chunked execution plan is a pure function of the
-    config, so the result is byte-identical for any ``workers`` value.
+    Chunks run in ``workers`` processes, by default one per CPU available
+    to the process, and never more than there are chunks. With ``p``
+    processes the caller runs chunks ``0, p, 2p, ...`` and forked child
+    ``w`` the chunks ``w, w + p, ...``. Where ``os.fork`` does not exist
+    the caller runs every chunk. The chunked execution plan is a pure
+    function of the config, so the result is byte-identical for any
+    ``workers`` value. An exception in a child's chunk is raised here, as
+    a ``RuntimeError`` carrying the child's traceback if it does not
+    pickle; a child that exits non-zero or dies by a signal raises a
+    ``RuntimeError`` naming its status. Whatever raises, every child
+    still running is killed and reaped first. Python 3.12 and later warn
+    on ``fork`` while other threads exist (OpenBLAS's pool, say); the
+    child runs only numpy's random generators and ufuncs and leaves by
+    ``os._exit``, so no lock another thread held is ever taken in it.
     """
     if workers is None:
         workers = _available_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     plan = []
     remaining, index = config.shots, 0
     while remaining > 0:
@@ -434,17 +518,26 @@ def simulate(config: SimConfig, workers: int | None = None) -> CountsMatrix:
         plan.append((index, step))
         remaining -= step
         index += 1
-    if workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _simulate_chunk(config, *p), plan))
-    else:
-        results = [_simulate_chunk(config, i, s) for i, s in plan]
-    dim = config.n_max + 1
-    counts = np.zeros((dim, dim), dtype=np.int64)
-    overflow = 0
-    for chunk_counts, chunk_overflow in results:
-        counts += chunk_counts
-        overflow += chunk_overflow
+    processes = min(workers, len(plan)) if hasattr(os, "fork") else 1
+    children = {}  # pid -> the pipe its report comes on, until it is reaped
+    try:
+        for offset in range(1, processes):
+            pid, pipe = _fork_worker(config, plan[offset::processes])
+            children[pid] = pipe
+        counts, overflow = _run_chunks(config, plan[::processes])
+        for pid in list(children):
+            with children[pid] as pipe:
+                report = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            child_counts, child_overflow = _worker_result(pid, status, report)
+            counts += child_counts
+            overflow += child_overflow
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return CountsMatrix(n_max=config.n_max, counts=counts, shots=config.shots, overflow=overflow)
 
 

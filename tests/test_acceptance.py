@@ -211,8 +211,8 @@ def test_criterion_9_determinism():
     config = SimConfig(SourceParams(1.0, 0.5), PAPER_DET_H, PAPER_DET_V,
                        shots=2_200_000, seed=31, n_max=10)
     serial = simulate(config, workers=1)
-    threaded = simulate(config, workers=4)
-    assert counts_to_text(serial) == counts_to_text(threaded)
+    parallel = simulate(config, workers=4)
+    assert counts_to_text(serial) == counts_to_text(parallel)
     again = simulate(config, workers=2)
     assert counts_to_text(again) == counts_to_text(serial)
 

@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,6 +35,8 @@ from photoncorr.montecarlo import (
     _thermal_into,
     total_variation,
 )
+from photoncorr import montecarlo
+from photoncorr.io import counts_to_text
 
 from conftest import PAPER_DET_H, PAPER_DET_V, PAPER_MEAN
 
@@ -585,9 +590,14 @@ class TestSimulate:
         # More shots than one chunk so the shard plan actually splits.
         config = self.base_config(shots=2_200_000, source=SourceParams(1.0, 0.5))
         serial = simulate(config, workers=1)
-        threaded = simulate(config, workers=4)
-        assert np.array_equal(serial.counts, threaded.counts)
-        assert serial.overflow == threaded.overflow
+        parallel = simulate(config, workers=4)
+        assert np.array_equal(serial.counts, parallel.counts)
+        assert serial.overflow == parallel.overflow
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            simulate(self.base_config(), workers=workers)
 
     def test_oracle_equivalence_paper_params(self):
         config = self.base_config(shots=10 ** 6)
@@ -625,6 +635,95 @@ class TestSimulate:
         counts = simulate(config)
         assert counts.overflow > 0
         assert counts.counts.sum() + counts.overflow == counts.shots
+
+
+class _NeedsTwo(Exception):
+    """Pickles, but does not unpickle: its constructor takes two arguments."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    """``simulate``'s forked workers on three chunks: the caller runs chunk 0,
+    and with ``workers=3`` one child each runs chunk 1 and chunk 2."""
+
+    CONFIG = SimConfig(SourceParams(1.0, 0.5), PAPER_DET_H, PAPER_DET_V,
+                       shots=2 * _CHUNK_SHOTS + 5, seed=31, n_max=10)
+
+    def patch_chunks(self, monkeypatch, actions):
+        """Make chunk ``i`` run ``actions[i]`` (if any) before its real work.
+        An action that would end the process raises in the caller instead."""
+        caller, real = os.getpid(), _simulate_chunk
+
+        def chunk(config, index, shots):
+            if index in actions:
+                assert os.getpid() != caller or index == 0, f"chunk {index} ran in the caller"
+                actions[index]()
+            return real(config, index, shots)
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", chunk)
+
+    def test_child_exception_keeps_its_type(self, monkeypatch):
+        def fail():
+            raise KeyError("chunk 2 failed")
+
+        self.patch_chunks(monkeypatch, {2: fail})
+        with pytest.raises(KeyError, match="chunk 2 failed") as raised:
+            simulate(self.CONFIG, workers=3)
+        cause = raised.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert "Traceback" in str(cause) and "in fail" in str(cause)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("unpicklable", ["local", "needs_two"])
+    def test_child_exception_that_does_not_pickle(self, monkeypatch, unpicklable):
+        class Local(Exception):
+            pass
+
+        def fail():
+            raise Local("chunk 1 failed") if unpicklable == "local" else _NeedsTwo("chunk 1 failed", 0)
+
+        self.patch_chunks(monkeypatch, {1: fail})
+        with pytest.raises(RuntimeError, match="worker process") as raised:
+            simulate(self.CONFIG, workers=3)
+        assert "Traceback" in str(raised.value) and "chunk 1 failed" in str(raised.value)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("die, status", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(3), "exited with status 3"),
+    ], ids=["signal", "exit"])
+    def test_child_that_dies_raises_its_status(self, monkeypatch, die, status):
+        self.patch_chunks(monkeypatch, {2: die})
+        with pytest.raises(RuntimeError, match=status):
+            simulate(self.CONFIG, workers=3)
+        _assert_no_child_left()
+
+    def test_caller_failure_kills_the_children(self, monkeypatch):
+        def fail():
+            raise ValueError("chunk 0 failed")
+
+        def hang():
+            time.sleep(60)
+
+        self.patch_chunks(monkeypatch, {0: fail, 1: hang, 2: hang})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="chunk 0 failed"):
+            simulate(self.CONFIG, workers=3)
+        assert time.perf_counter() - start < 30
+        _assert_no_child_left()
+
+    def test_without_fork_runs_serially(self, monkeypatch):
+        serial = counts_to_text(simulate(self.CONFIG, workers=1))
+        monkeypatch.delattr(os, "fork")
+        assert counts_to_text(simulate(self.CONFIG)) == serial
+        assert counts_to_text(simulate(self.CONFIG, workers=4)) == serial
 
 
 class TestNormalize:
