@@ -21,12 +21,19 @@ numpy draws element by element, so the numbers are the same too. A chunk
 holds only its two photon-number buffers, which keeps a worker per
 available CPU cheap: the component choices and the marks of the shots
 still waiting for a number live in those buffers until their own draws
-replace them. The buffers are int16 (4 bytes per shot, about 4 MiB per
-chunk) when the source mean and both dark means are at most 15, and
-int32 (8 bytes per shot) otherwise; see ``_count_dtype``. The clamp, the
-cell index and the histogram are made block by block in ``intp``, since
-a cell index does not fit in int16 and one ``np.bincount`` of a whole
-buffer would make an int64 copy of it.
+replace them. The buffers are int8 (2 bytes per shot, 2 MiB per chunk)
+when the source mean and both dark means are at most 5, int16 (4 bytes
+per shot) up to 15 and int32 (8 bytes per shot) above; see
+``_count_dtype``. No bound on the means makes a width safe, so every
+store that could leave a buffer's range is checked against that
+buffer's own limit before it is made: the thermal numbers, the dark
+additions and the crosstalk addition (a loss draw never exceeds its
+count). A chunk whose counts do not fit is thrown away and run again one
+width up from the start of its stream, which gives the histogram of the
+wider run; at int32 it raises. The clamp, the cell index and the
+histogram are made block by block in ``intp``, since a cell index does
+not fit in int8 or int16 and one ``np.bincount`` of a whole buffer would
+make an int64 copy of it.
 
 Speed: numpy's geometric, binomial and Poisson samplers run a scalar
 loop per element. Where they invert one variate per element, a block's
@@ -74,11 +81,46 @@ _MAX_MEAN = float(1 << 20)
 # the e^-512 the int32 limit accepts per draw (a Poisson dark count of mean
 # 15 far less), and a detected count then stays below 2 * 2^14 = 2^15.
 _INT16_MAX_MEAN = 15.0
+# Largest source mean and dark mean for int8 buffers. No bound on the means
+# makes int8 safe, so the stores are checked and a chunk that does not fit
+# runs again in int16. A chunk's three thermal passes make 3 * 2^20 draws,
+# and one of them passes 126 (one below int8's 127, for the +1 marks of
+# ``_sample_pair_into``) with probability (mean/(mean+1))^127: a rerun per
+# chunk has a chance of about 3e-6 at the reference mean 4.1 and 3e-4 at 5.
+# A detected count is at most 2 * (photons + darks), so crosstalk near 1 at
+# high efficiency makes reruns more frequent; they cost time, not results.
+_INT8_MAX_MEAN = 5.0
 # Largest dark mean that ``_poisson_add`` draws by products in lockstep.
 # Per 2^16-shot block the lockstep took 0.52-0.56 of the time of numpy's
 # loop at 0.11, 0.81 at 0.3, 0.95-0.98 at 0.4 and 1.07 at 0.45 (a 2-core
 # Xeon, numpy 2.4.6).
 _LOCKSTEP_MAX_DARK = 0.4
+
+
+class _CountOverflow(RuntimeError):
+    """A count would leave the range of the integer buffer that holds it."""
+
+
+def _check_fits(top, block: np.ndarray) -> None:
+    """Raise ``_CountOverflow`` if ``top`` is above the largest value of ``block``'s dtype.
+
+    Called before a store, so that a buffer never holds a wrapped value.
+    """
+    limit = np.iinfo(block.dtype).max
+    if top > limit:
+        raise _CountOverflow(f"a Monte Carlo count of {top} does not fit in "
+                             f"{block.dtype}, whose largest value is {limit}")
+
+
+def _add_checked(m: np.ndarray, where, draws: np.ndarray) -> None:
+    """Add ``draws`` to ``m[where]``, or raise ``_CountOverflow`` before any sum is stored.
+
+    The sums are made in the wider type of ``draws`` (int32 or int64),
+    which the counts here never fill.
+    """
+    total = m[where] + draws
+    _check_fits(total.max(initial=0), m)
+    m[where] = total
 
 
 def _check_mean(name: str, value: float) -> None:
@@ -125,9 +167,11 @@ class SimConfig:
 
     ``source.mean_photons`` and each detector's ``dark_mean`` are at most
     ``2**20``: the Monte Carlo holds photon numbers and counts as int32 at
-    most (int16 when all three means are at most 15), and above that
-    limit a count could wrap. The histogram's cell index, below
-    ``(n_max + 2)**2``, bounds ``n_max`` by 46338.
+    most (int8 when all three means are at most 5, int16 up to 15), and
+    its int32 counts stay in range below that limit. A count that would
+    not fit makes its chunk run again one width up, or at int32 raise
+    ``RuntimeError``; none is stored wrapped. The histogram's cell index,
+    below ``(n_max + 2)**2``, bounds ``n_max`` by 46338.
     """
 
     source: SourceParams
@@ -156,19 +200,22 @@ def _thermal_into(out: np.ndarray, mean: float, rng: np.random.Generator) -> Non
     ``p = 1/(mean+1)``. For ``p < 1/3`` numpy inverts one standard
     exponential ``E`` per draw, ``ceil(-E / log1p(-p))``; the same
     inversion is made here on the whole block, from the same variates.
-    Otherwise numpy's own call is kept.
+    Otherwise numpy's own call is kept. Raises ``_CountOverflow``, with
+    ``out`` unchanged, if a number plus 1 (a mark of ``_sample_pair_into``)
+    would not fit in ``out``.
     """
     if mean == 0.0:
         out[:] = 0
         return
     p = 1.0 / (mean + 1.0)
     if p >= 1.0 / 3.0:  # numpy's sequential search branch
-        out[:] = rng.geometric(p, size=out.size) - 1
-        return
-    draws = rng.standard_exponential(out.size)
-    draws /= -math.log1p(-p)  # libm's log1p, as numpy's sampler calls it
-    np.ceil(draws, out=draws)
-    np.subtract(draws, 1.0, out=out, casting="unsafe")
+        draws = rng.geometric(p, size=out.size)
+    else:
+        draws = rng.standard_exponential(out.size)
+        draws /= -math.log1p(-p)  # libm's log1p, as numpy's sampler calls it
+        np.ceil(draws, out=draws)
+    _check_fits(draws.max(initial=0), out)  # each number plus 1, before the cast
+    np.subtract(draws, 1, out=out, casting="unsafe")
 
 
 def _binomial_into(m: np.ndarray, p: float, rng: np.random.Generator, add: bool) -> None:
@@ -176,12 +223,16 @@ def _binomial_into(m: np.ndarray, p: float, rng: np.random.Generator, add: bool)
 
     The draws replace ``m``, or with ``add`` are added to it. They are
     those of numpy's ``rng.binomial(m, p)``, whichever way they are made.
+    A draw never exceeds its count, so only a sum can leave ``m``'s range:
+    then ``_CountOverflow`` is raised and no sum is stored.
     """
     drawn = _binomial_inversion(m, p, rng)
     where, draws = drawn if drawn is not None else (slice(None), rng.binomial(m, p))
-    if not add:
+    if add:
+        _add_checked(m, where, draws)
+    else:
         m[:] = 0
-    m[where] += draws
+        m[where] = draws
 
 
 def _binomial_inversion(
@@ -252,7 +303,9 @@ def _poisson_add(m: np.ndarray, lam: float, rng: np.random.Generator) -> None:
     past exactly the ones numpy would use. That takes a ``PCG64`` that
     holds no half of a 32-bit draw, which ``advance`` would clear. At
     ``lam == 0`` or above ``_LOCKSTEP_MAX_DARK``, or when fewer than
-    ``m.size`` draws end in the margin, numpy's own call is made.
+    ``m.size`` draws end in the margin, numpy's own call is made. A sum
+    that would not fit in ``m`` raises ``_CountOverflow`` before it is
+    stored.
     """
     bit_generator = rng.bit_generator
     n = m.size
@@ -260,7 +313,7 @@ def _poisson_add(m: np.ndarray, lam: float, rng: np.random.Generator) -> None:
     if 0.0 < lam <= _LOCKSTEP_MAX_DARK and type(bit_generator) is np.random.PCG64:
         state = bit_generator.state
     if state is None or state["has_uint32"] or state["uinteger"]:
-        m += rng.poisson(lam, size=n)
+        _add_checked(m, slice(None), rng.poisson(lam, size=n))
         return
     end = math.exp(-lam)  # libm's exp, as numpy's sampler calls it
     spread = n * lam
@@ -285,13 +338,15 @@ def _poisson_add(m: np.ndarray, lam: float, rng: np.random.Generator) -> None:
     big = np.delete(big, np.concatenate(inner))
     bit_generator.state = state
     if size - big.size < n:
-        m += rng.poisson(lam, size=n)
+        _add_checked(m, slice(None), rng.poisson(lam, size=n))
         return
     draw = big - np.arange(big.size)  # the number of ends before each
     draw = draw[:np.searchsorted(draw, n)]
     bit_generator.advance(n + draw.size)
     while draw.size:  # a draw of j is j equal indices
-        m[draw] += 1
+        hit = m[draw]
+        _check_fits(int(hit.max()) + 1, m)
+        m[draw] = hit + 1
         draw = draw[1:][draw[1:] == draw[:-1]]
 
 
@@ -312,8 +367,9 @@ def sample_pair(
     are independent thermal draws. The draws come in this order: all
     component choices, all shared numbers, all of mode h's own numbers,
     then all of mode v's. Returns two int32 arrays whatever the mean (the
-    Monte Carlo's own chunks take int16 where ``_count_dtype`` allows);
-    the source mean must be at most ``2**20`` so that they cannot wrap.
+    Monte Carlo's own chunks take int8 or int16 where ``_count_dtype``
+    allows); the source mean must be at most ``2**20`` so that they stay
+    in range.
     """
     _check_mean("mean_photons", source.mean_photons)
     n_h = np.empty(size, dtype=np.int32)
@@ -386,23 +442,46 @@ def _stream_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _count_dtype(config: SimConfig) -> type:
-    """The integer type of a chunk's buffers: int16 if every mean of ``config``
-    is at most ``_INT16_MAX_MEAN``, else int32."""
-    means = (config.source.mean_photons, config.det_h.dark_mean, config.det_v.dark_mean)
-    return np.int16 if max(means) <= _INT16_MAX_MEAN else np.int32
+    """The integer type a chunk's buffers start in: int8 if every mean of
+    ``config`` is at most ``_INT8_MAX_MEAN``, int16 if at most
+    ``_INT16_MAX_MEAN``, else int32. ``_simulate_chunk`` widens it for a
+    chunk whose counts do not fit."""
+    top = max(config.source.mean_photons, config.det_h.dark_mean, config.det_v.dark_mean)
+    if top <= _INT8_MAX_MEAN:
+        return np.int8
+    return np.int16 if top <= _INT16_MAX_MEAN else np.int32
 
 
 def _simulate_chunk(config: SimConfig, index: int, shots: int) -> tuple[np.ndarray, int]:
-    rng = _stream_rng(config.seed, index)
+    """Chunk ``index``'s ``(counts, overflow)``, in buffers of ``_count_dtype``.
+
+    A chunk whose counts do not fit is run again one width up (int8,
+    int16, int32), from a fresh stream: its histogram is the wider run's.
+    At int32 the ``_CountOverflow`` is raised.
+    """
     dtype = _count_dtype(config)
+    while True:
+        try:
+            return _chunk_at_width(config, index, shots, dtype)
+        except _CountOverflow:
+            if dtype is np.int32:
+                raise
+            dtype = np.int16 if dtype is np.int8 else np.int32
+
+
+def _chunk_at_width(
+    config: SimConfig, index: int, shots: int, dtype: type
+) -> tuple[np.ndarray, int]:
+    rng = _stream_rng(config.seed, index)
     m_h, m_v = np.empty(shots, dtype=dtype), np.empty(shots, dtype=dtype)
     _sample_pair_into(m_h, m_v, config.source, rng)
     _detect_in_place(m_h, config.det_h, rng)
     _detect_in_place(m_v, config.det_v, rng)
     # Clamp into one overflow row/column, so every pair lands in a cell of
     # a (n_max+2)^2 grid whose top-left (n_max+1)^2 block is the histogram.
-    # The cell index is made per block in intp, since in int16 it could
-    # wrap; its buffers are reused, as fresh ones cost a page fault a page.
+    # The cell index is made per block in intp, since in int8 or int16 it
+    # could wrap; its buffers are reused, as fresh ones cost a page fault a
+    # page.
     side = config.n_max + 2
     flat = np.zeros(side * side, dtype=np.int64)
     cell, column = np.empty((2, min(shots, _BLOCK_SHOTS)), dtype=np.intp)

@@ -153,8 +153,8 @@ UNCALLED_ON_PURPOSE = {
     # compares the composed channel against.
     "detect_count",
     # The public source sampler, int32 whatever the means; the Monte Carlo's
-    # chunks fill their own buffers, of the width the means allow, through
-    # the private helper it wraps.
+    # chunks fill their own buffers through the private helper it wraps, in
+    # int8, int16 or int32 as the means allow, one width up on a rerun.
     "sample_pair",
 }
 

@@ -26,8 +26,10 @@ from photoncorr.montecarlo import (
     _BLOCK_SHOTS,
     _CHUNK_SHOTS,
     _LOCKSTEP_MAX_DARK,
+    _CountOverflow,
     _binomial_into,
     _binomial_inversion,
+    _chunk_at_width,
     _count_dtype,
     _poisson_add,
     _simulate_chunk,
@@ -295,7 +297,7 @@ class TestPoissonAdd:
         | st.floats(0.0, 2 * _LOCKSTEP_MAX_DARK),
         size=st.integers(1, 3000) | st.sampled_from([1, _BLOCK_SHOTS]),
         base=st.integers(0, 3),
-        dtype=st.sampled_from([np.int16, np.int32, np.int64]),
+        dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
         seed=st.integers(0, 2 ** 32),
     )
     def test_poisson_is_numpys(self, lam, size, base, dtype, seed):
@@ -441,6 +443,15 @@ class TestBlockwiseChunk:
                      DetectorParams(0.6, 15.0, 0.2), 40, id="int16-limit"),
         pytest.param(SourceParams(math.nextafter(15.0, math.inf), 0.5), PAPER_DET_H,
                      PAPER_DET_V, 12, id="int32-above-int16-limit"),
+        # The largest means of int8 buffers, and the smallest source mean of
+        # int16 ones.
+        pytest.param(SourceParams(5.0, 0.5), DetectorParams(0.5, 5.0, 0.1),
+                     DetectorParams(0.6, 5.0, 0.2), 30, id="int8-limit"),
+        pytest.param(SourceParams(math.nextafter(5.0, math.inf), 0.5), PAPER_DET_H,
+                     PAPER_DET_V, 12, id="int16-above-int8-limit"),
+        # A clamp value above int8's range.
+        pytest.param(SourceParams(PAPER_MEAN, 0.5), DetectorParams(0.9, 0.1, 0.4),
+                     DetectorParams(0.8, 0.2, 0.3), 200, id="int8-n_max-200"),
         # p = 1/3: numpy's search branch of the geometric.
         pytest.param(SourceParams(2.0, 0.5), PAPER_DET_H, PAPER_DET_V, 10, id="mean2"),
         pytest.param(SourceParams(PAPER_MEAN, 0.5), DetectorParams(0.5, 0.1, 0.49),
@@ -481,9 +492,9 @@ class TestBlockwiseChunk:
     )
     def test_random_stream_equals_reference(self, mean, g, efficiency, dark, crosstalk,
                                             n_max, shots, seed, index):
-        # The stream contract: block-wise draws into int16 or int32 buffers
-        # (means above 15 take int32) give the histogram of whole-chunk
-        # int64 draws, bit for bit.
+        # The stream contract: block-wise draws into int8, int16 or int32
+        # buffers (means above 5 take int16, above 15 int32) give the
+        # histogram of whole-chunk int64 draws, bit for bit.
         det_h, det_v = (DetectorParams(*p) for p in zip(efficiency, dark, crosstalk))
         config = SimConfig(SourceParams(mean, g), det_h, det_v, shots, seed, n_max)
         counts, overflow = _simulate_chunk(config, index, shots)
@@ -504,29 +515,122 @@ class TestBlockwiseChunk:
             tracemalloc.stop()
 
     def test_working_set_of_full_chunk(self):
-        # About 4 bytes per shot: two int16 buffers, plus about 2 MiB of
+        # About 2 bytes per shot: two int8 buffers, plus about 1.4 MiB of
         # block temporaries. This bound is what makes one worker per
         # available CPU safe.
-        assert self.chunk_peak(PAPER_MEAN) <= 7 * 2 ** 20
+        assert self.chunk_peak(PAPER_MEAN) <= 4.5 * 2 ** 20
+
+    def test_working_set_of_full_int16_chunk(self):
+        # A source mean above 5 takes two int16 buffers: about 4 bytes per shot.
+        assert self.chunk_peak(15.0) <= 7 * 2 ** 20
 
     def test_working_set_of_full_int32_chunk(self):
         # A source mean above 15 takes two int32 buffers: about 8 bytes per shot.
         assert self.chunk_peak(16.0) <= 12 * 2 ** 20
 
 
+def _int8_block(value, size=1000):
+    return np.full(size, value, dtype=np.int8)
+
+
+class TestOverflowChecks:
+    """Every store that could leave a buffer's range is checked first: the
+    check raises ``_CountOverflow`` (a ``RuntimeError``) and the block keeps
+    no wrapped value. A chunk that overflows runs again one width up."""
+
+    def test_thermal(self):
+        block = _int8_block(0)
+        with pytest.raises(_CountOverflow, match="int8"):
+            _thermal_into(block, 200.0, np.random.default_rng(1))
+        assert not block.any()
+
+    @pytest.mark.parametrize("lam, uniforms, poisson_calls", [
+        pytest.param(0.11, [], 0, id="lockstep"),
+        pytest.param(0.5, [], 1, id="numpy"),
+        # No uniform ends a draw: the margin is too short, and the block is
+        # numpy's draw.
+        pytest.param(0.11, [1.0 - 2.0 ** -53] * 4000, 1, id="short-margin"),
+    ])
+    def test_darks(self, lam, uniforms, poisson_calls):
+        block = _int8_block(127)
+        spy = _UniformsSetAt(np.random.default_rng(2), 0, uniforms)
+        with pytest.raises(_CountOverflow, match="int8"):
+            _poisson_add(block, lam, spy)
+        assert spy.poisson_calls == poisson_calls
+        assert (block == 127).all()
+
+    @pytest.mark.parametrize("count, p, inverted", [
+        pytest.param(100, 0.49, False, id="numpy"),
+        pytest.param(120, 0.25, True, id="inversion"),
+    ])
+    def test_crosstalk(self, count, p, inverted):
+        block = _int8_block(count)
+        assert (_binomial_inversion(block, p, np.random.default_rng(3)) is not None) == inverted
+        with pytest.raises(_CountOverflow, match="int8"):
+            _binomial_into(block, p, np.random.default_rng(3), add=True)
+        assert (block == count).all()
+
+    def test_loss_cannot_overflow(self):
+        block = _int8_block(127)
+        _binomial_into(block, 0.5, np.random.default_rng(4), add=False)
+        assert 0 <= block.min() and block.max() <= 127
+
+    @pytest.mark.parametrize("draw", [
+        pytest.param(lambda m: _poisson_add(m, 0.11, np.random.default_rng(5)), id="darks"),
+        pytest.param(lambda m: _binomial_into(m, 0.49, np.random.default_rng(5), add=True),
+                     id="crosstalk"),
+    ])
+    def test_int32_raises(self, draw):
+        block = np.full(1000, 2 ** 31 - 1, dtype=np.int32)
+        with pytest.raises(RuntimeError, match="int32"):
+            draw(block)
+        assert (block == 2 ** 31 - 1).all()
+
+    @pytest.mark.parametrize("dtype, mean", [(np.int8, 30.0), (np.int16, 2.0 ** 20)])
+    def test_overflowing_chunk_runs_one_width_up(self, monkeypatch, dtype, mean):
+        shots = 2 * _BLOCK_SHOTS + 17
+        config = SimConfig(SourceParams(mean, 0.5), PAPER_DET_H, PAPER_DET_V, shots, 5, 12)
+        with pytest.raises(_CountOverflow):
+            _chunk_at_width(config, 0, shots, dtype)
+        monkeypatch.setattr(montecarlo, "_count_dtype", lambda config: dtype)
+        counts, overflow = _simulate_chunk(config, 0, shots)
+        ref_counts, ref_overflow = _reference_chunk(config, 0, shots)
+        assert np.array_equal(counts, ref_counts)
+        assert overflow == ref_overflow
+
+    def test_widths_tried_in_order_then_raise(self, monkeypatch):
+        tried = []
+
+        def overflow(config, index, shots, dtype):
+            tried.append(dtype)
+            raise _CountOverflow("does not fit")
+
+        monkeypatch.setattr(montecarlo, "_chunk_at_width", overflow)
+        config = SimConfig(SourceParams(1.0, 0.5), PAPER_DET_H, PAPER_DET_V, 10, 5, 12)
+        with pytest.raises(RuntimeError, match="does not fit"):
+            _simulate_chunk(config, 0, 10)
+        assert tried == [np.int8, np.int16, np.int32]
+
+
 class TestCountWidth:
-    # int16 holds every count when the source mean and both dark means are
-    # at most 15; any larger mean takes int32.
+    # A chunk starts in int8 when the source mean and both dark means are at
+    # most 5, in int16 up to 15, and in int32 above.
+    @staticmethod
+    def config(key, value):
+        means = {"mean": 1.0, "dark_h": 0.1, "dark_v": 0.1, key: value}
+        return SimConfig(SourceParams(means["mean"], 0.5),
+                         DetectorParams(0.5, means["dark_h"], 0.1),
+                         DetectorParams(0.5, means["dark_v"], 0.1), 100, 1, 12)
+
+    @pytest.mark.parametrize("key", ["mean", "dark_h", "dark_v"])
+    def test_five_is_the_int8_limit(self, key):
+        assert _count_dtype(self.config(key, 5.0)) is np.int8
+        assert _count_dtype(self.config(key, math.nextafter(5.0, math.inf))) is np.int16
+
     @pytest.mark.parametrize("key", ["mean", "dark_h", "dark_v"])
     def test_fifteen_is_the_int16_limit(self, key):
-        def config(value):
-            means = {"mean": 1.0, "dark_h": 0.1, "dark_v": 0.1, key: value}
-            return SimConfig(SourceParams(means["mean"], 0.5),
-                             DetectorParams(0.5, means["dark_h"], 0.1),
-                             DetectorParams(0.5, means["dark_v"], 0.1), 100, 1, 12)
-
-        assert _count_dtype(config(15.0)) is np.int16
-        assert _count_dtype(config(math.nextafter(15.0, math.inf))) is np.int32
+        assert _count_dtype(self.config(key, 15.0)) is np.int16
+        assert _count_dtype(self.config(key, math.nextafter(15.0, math.inf))) is np.int32
 
 
 class TestInt32Limit:
