@@ -263,7 +263,8 @@ def cmd_fit(args) -> int:
         },
         seed, inputs=[args.counts], outputs=outputs, started=started,
     )
-    bound = f" (on a bound: {', '.join(fit.at_bound)})" if fit.at_bound else ""
+    held = [*fit.at_bound, *(f"stage1.{name}" for name in fit.stage1.at_bound)]
+    bound = f" (on a bound: {', '.join(held)})" if held else ""
     print(
         f"fitted g={fit.source.correlation:.4f} mean={fit.source.mean_photons:.4f} "
         f"nu={fit.nu:.4f}{bound} -> {fit_path}"

@@ -16,10 +16,7 @@ Each stage is a transfer matrix ``P(measured m | true n)``, a plain
 one mode is their product, and this module is the only place that chain
 is built. A column holds only the mass that lands in the output range:
 counts beyond it are dropped, never clamped into the top bin, so the
-column falls short of 1 by exactly its overflow. The derivatives of the
-after-loss part in the dark mean and the crosstalk, which a fit's
-Jacobian needs, are read off the same two matrices
-(``_after_loss_derivatives``).
+column falls short of 1 by exactly its overflow.
 
 The kernels are evaluated in closed form from cached read-only tables,
 one per law, so the module needs only numpy: the Poisson kernel from a
@@ -31,7 +28,9 @@ efficiency ``crosstalk``, shifted down by the fired cells.
 
 The fit builds no loss matrix: loss maps a thermal mode, and the twin
 thermal source, to closed forms (see ``inference``), so it needs only
-the after-loss part of the channel.
+the after-loss part, which ``_after_loss_pass`` builds for both modes in
+one pass over a leading mode axis, from the same closed forms, with the
+marginals and the derivatives a fit's Jacobian needs.
 """
 
 from __future__ import annotations
@@ -179,27 +178,69 @@ def after_loss_channel(
     return crosstalk_matrix(crosstalk, n_out, n_out) @ dark_matrix(dark_mean, n_in, n_out)
 
 
-def _after_loss_derivatives(
-    dark_mean: float, crosstalk: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``after_loss_channel`` on ``0 .. n`` and its derivatives in the dark mean and the crosstalk.
+# Log 0 in a closed form's powers: 0 times it is 0, and every later power
+# is exp of under -1e300, so 0, where log 0 would form 0 * inf.
+_LOG_ZERO = -1e300
 
-    The Poisson pmf's derivative in its mean is ``p(k-1) - p(k)``, so the
-    dark matrix's is itself shifted down one row, minus itself. A
-    crosstalk column is Binomial(n, eps) at ``m - n``, whose derivative
-    ``n (X[m-2, n-1] - X[m-1, n-1])`` reads two shifted copies of the
-    crosstalk matrix ``X``. Row ``m`` of either reads only rows up to ``m``,
-    so both are exact under the truncation at ``n``, as the channel is.
+
+@lru_cache(maxsize=32)
+def _chain_tables(n: int) -> tuple[np.ndarray, ...]:
+    """``_after_loss_pass``'s read-only tables: ``k = 0 .. n+1``, ``log k!``
+    (``inf`` at ``n + 1``), and at ``[m, c]`` the counts ``m - c`` added to
+    ``c`` fired cells (``n + 1`` where ``m < c``), the cells ``2c - m`` that
+    add none (clipped into ``0 .. n``), and ``C(c, m - c)``."""
+    m, c = np.ogrid[: n + 1, : n + 1]
+    added = np.where(m >= c, m - c, n + 1)
+    tables = (np.arange(n + 2), np.append(_log_factorial(n + 1), np.inf), added,
+              np.clip(2 * c - m, 0, n), _binom_table(n + 2)[added, c])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _after_loss_pass(
+    detected: np.ndarray, dark: np.ndarray, xtalk: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detected thermal marginals on ``0 .. n``, one per mode along a leading axis.
+
+    Mode ``i`` is a thermal ``t`` of mean ``detected[i] > 0`` (the loss
+    absorbed), then dark counts of mean ``dark[i]`` and crosstalk
+    ``xtalk[i]``. Returns the after-loss channels ``C = X D`` on ``0 .. n``,
+    ``(modes, n+1, n+1)``; the marginals ``C t``, ``(modes, n+1)``; and
+    their derivatives in ``(detected, dark, xtalk)``, ``(modes, n+1, 3)``.
+    ``D`` and ``X`` are ``dark_matrix``'s and ``crosstalk_matrix``'s closed
+    forms, with their scalar logs, for all modes at once. ``t`` has
+    derivative ``t_k (k/d - (k+1)/(1+d))``; the Poisson pmf's in its mean is
+    ``p(k-1) - p(k)``, so ``D' t`` is ``D t`` one row down less itself; and
+    Binomial(c, eps) at ``m - c`` has ``X'[m, c] = c (X[m-2, c-1] -
+    X[m-1, c-1])``. Row ``m`` of each reads rows up to ``m`` only, so all are
+    exact under the truncation at ``n``, as ``C`` is.
     """
-    xtalk = crosstalk_matrix(crosstalk, n)
-    dark = dark_matrix(dark_mean, n)
-    d_dark = -dark
-    d_dark[1:] += dark[:-1]
-    d_xtalk = np.zeros_like(xtalk)
-    d_xtalk[2:, 1:] = xtalk[:-2, :-1]
-    d_xtalk[1:, 1:] -= xtalk[:-1, :-1]
-    d_xtalk *= np.arange(n + 1)
-    return xtalk @ dark, xtalk @ d_dark, d_xtalk @ dark
+    # Scalar logs, as in the closed forms: numpy's can differ in the last
+    # bit, and the powers multiply that by up to n.
+    d, dark, ratio, log1p_d, log_dark, log_eps, log_lose = np.array([
+        (v, m, math.log(v) - math.log1p(v), math.log1p(v), math.log(m) if m > 0.0 else _LOG_ZERO,
+         math.log(e) if e > 0.0 else _LOG_ZERO, math.log1p(-e))
+        for v, m, e in zip(detected, dark, xtalk)
+    ]).T[..., None]
+    k, log_factorial, added, kept, binom = _chain_tables(n)
+    t = np.exp(k[:-1] * ratio - log1p_d)
+    dt = t * (k[:-1] / d - k[1:] / (1.0 + d))
+    dark_k = np.exp(k * log_dark - dark - log_factorial).take(added, axis=1)
+    lose = np.exp(k[:-1] * log_lose).take(kept, axis=1)
+    xtalk_k = np.exp(k * log_eps).take(added, axis=1) * (binom * lose)
+    channel = xtalk_k @ dark_k
+    marginal, d_detected = ((channel @ u[..., None])[..., 0] for u in (t, dt))
+    # D' t, and the fired cells' count times D t one row up, which X' reads.
+    y = (dark_k @ t[..., None])[..., 0]
+    v = np.zeros((len(t), n + 1, 2))
+    v[:, 1:, 0], v[:, :-1, 1] = y[:, :-1], k[1:-1] * y[:, 1:]
+    v[..., 0] -= y
+    w = xtalk_k @ v
+    jac = np.zeros((len(t), n + 1, 3))
+    jac[..., 0], jac[..., 1], jac[:, 2:, 2] = d_detected, w[..., 0], w[:, :-2, 1]
+    jac[:, 1:, 2] -= w[:, :-1, 1]
+    return channel, marginal, jac
 
 
 def compose_channel(params: DetectorParams, n_in: int, n_out: int | None = None) -> np.ndarray:

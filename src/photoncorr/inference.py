@@ -9,10 +9,10 @@ efficiency, so stage 1 can only identify the product
 structure in stage 2 splits it. It is a small smooth nonlinear
 least-squares problem, solved by a bounded Levenberg-Marquardt loop
 started at the empirical marginal means, with no dark counts or
-crosstalk. Its Jacobian is exact: each column is the outer product of
-one mode's marginal derivative with the other mode's marginal, and the
-derivatives come from the matrices the marginal is built from. Each
-evaluation builds the residuals and the Jacobian together.
+crosstalk. Each evaluation is one pass over both modes
+(``detector._after_loss_pass``) that gives their marginals and exact
+derivatives; each Jacobian column is the outer product of one mode's
+marginal derivative with the other mode's marginal.
 
 Stage 2 fits the full joint histogram with the degree of correlation and
 the source mean as the free parameters, holding the detected means,
@@ -32,9 +32,10 @@ the probe stands in for their Brent steps, as it does for a flat
 profile's whole search: at the benchmark's seed-1 input a
 ``fit --bootstrap 100`` builds the correlated term at 328 points, against
 1,669 for the Brent search alone. Neither term is cut off in photon
-number: ``B`` is the product of stage 1's detected thermal marginals,
-built once per fit, and ``A`` an
-all-positive recurrence on the histogram's range (``_correlated_term``).
+number: ``B`` is the outer product of the detected marginals, and the
+after-loss channels ``A`` reads come from the same two-mode pass, once
+per fit at stage 1's final point; ``A`` is an all-positive recurrence
+on the histogram's range (``_correlated_term``).
 ``A`` does not depend on the histogram, so many histograms with one
 stage 1 are fitted in one batch: each step of the search builds it at
 the points of all of them in one vectorised pass. A batch takes the
@@ -51,8 +52,8 @@ ends on a bound says so (``FitResult.at_bound``).
 assume Poissonian counting noise: every cell is replaced by an
 independent Poisson draw centered on the observed count, and the
 stage-2 fit, with the counts' stage 1 held, and the product distance
-are recomputed per resample. The resamples are drawn into one stacked
-array, and their product distances come from one batched SVD through
+are recomputed per resample. The resamples are drawn straight into one
+stacked array, and their product distances come from one batched SVD through
 the spectrum that ``measures`` defines.
 
 Both stages need numpy only.
@@ -65,8 +66,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .detector import DetectorParams, _after_loss_derivatives, after_loss_channel
-from .distributions import JointDistribution, SourceParams, _thermal_probs, mixture_joint
+from .detector import DetectorParams, _after_loss_pass
+from .distributions import JointDistribution, SourceParams, mixture_joint
 from .measures import _normalized_spectra, _tail_norms
 from .montecarlo import CountsMatrix, _stream_rng, normalize
 
@@ -179,24 +180,6 @@ def _weights(counts: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(counts, 1)
 
 
-def _detected_marginal_jacobian(
-    detected_mean: float, dark: float, xtalk: float, n_out: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A thermal mode with the loss already absorbed, then darks and crosstalk.
-
-    Returns the detected marginal and its ``(n_out+1, 3)`` derivative in
-    the first three arguments. The thermal
-    ``t_n = mean^n / (1+mean)^(n+1)`` has derivative
-    ``t_n (n/mean - (n+1)/(1+mean))``. The after-loss channel has zero
-    columns past ``n_out``, so ``t`` to ``n_out`` is exact.
-    """
-    t = _thermal_probs(detected_mean, n_out)
-    n = np.arange(n_out + 1)
-    dt = t * (n / detected_mean - (n + 1) / (1.0 + detected_mean))
-    chan, d_dark, d_xtalk = _after_loss_derivatives(dark, xtalk, n_out)
-    return chan @ t, np.column_stack([chan @ dt, d_dark @ t, d_xtalk @ t])
-
-
 def _levenberg_marquardt(evaluate, x, lower, upper, config: FitConfig):
     """Minimize ``r @ r`` over the box ``[lower, upper]``, starting at ``x``.
 
@@ -273,9 +256,8 @@ def fit_stage1(
 
     def evaluate(x):
         nonlocal best
-        (marg_h, jac_h), (marg_v, jac_v) = (
-            _detected_marginal_jacobian(*x[mode::2], n_out) for mode in (0, 1)
-        )
+        # x reshaped is (detected means, darks, crosstalks) by mode (h, v).
+        _, (marg_h, marg_v), (jac_h, jac_v) = _after_loss_pass(*x.reshape(3, 2), n_out)
         r = (sqrt_w * (np.outer(marg_h, marg_v) - target)).ravel()
         best = min(best, float(r @ r))
         if trace is not None:
@@ -321,20 +303,6 @@ def _log_mean_range(stage1: Stage1Result) -> tuple[float, float]:
     """The ends of the stage-2 search in ``log(mean)``: above both detected means, to the cap."""
     mean_lo = max(stage1.detected_mean_h, stage1.detected_mean_v) * (1.0 + 1e-9)
     return math.log(mean_lo), math.log(max(_MEAN_CAP, mean_lo * 2.0))
-
-
-def _product_term(stage1: Stage1Result, after_loss) -> np.ndarray:
-    """``outer(C_h t(d_h), C_v t(d_v))``, whatever the source mean.
-
-    Loss maps a thermal mode to the thermal ``t`` of its detected mean
-    ``d``. The after-loss channels ``C`` have zero columns past the output
-    range, so ``t`` to it is exact.
-    """
-    marg_h, marg_v = (
-        chan @ _thermal_probs(detected, chan.shape[1] - 1)
-        for chan, detected in zip(after_loss, (stage1.detected_mean_h, stage1.detected_mean_v))
-    )
-    return np.outer(marg_h, marg_v)
 
 
 def _correlated_term(stage1: Stage1Result, log_means: np.ndarray, after_loss) -> np.ndarray:
@@ -407,11 +375,10 @@ def _fit_stage2_batch(
     "resample k", the layout of ``fit_counts``.
     """
     weights = _weights(counts)
-    after_loss = [
-        after_loss_channel(dark, xtalk, counts.shape[-1] - 1)
-        for dark, xtalk in ((stage1.dark_h, stage1.xtalk_h), (stage1.dark_v, stage1.xtalk_v))
-    ]
-    product = _product_term(stage1, after_loss)
+    # Loss keeps a mode thermal, so the product term is whatever the mean.
+    params = np.array([getattr(stage1, f.name) for f in fields(Stage1Result)[:6]])
+    after_loss, marginals, _ = _after_loss_pass(*params.reshape(3, 2), counts.shape[-1] - 1)
+    product = np.outer(*marginals)
     # What g times the slope must fit: the data less the product term.
     target = counts / shots[:, None, None] - product
     best = np.full((4, len(counts)), math.inf)  # objective, g, log(mean), evaluations
@@ -582,27 +549,6 @@ def reconstruct(fit: FitResult, n_max: int) -> JointDistribution:
     return mixture_joint(fit.source, n_max)
 
 
-def poisson_resample(counts: CountsMatrix, rng: np.random.Generator) -> CountsMatrix:
-    """Replace every cell (and the overflow) with a Poisson draw around it.
-
-    The total number of shots is not conserved; it is recomputed from the
-    resampled counts, matching the assumption of independent Poissonian
-    cell noise. A draw whose in-range cells are all empty has no spectrum,
-    so it is drawn again, at most 100 times in all.
-    """
-    for _ in range(100):
-        new_counts = rng.poisson(counts.counts)
-        new_overflow = int(rng.poisson(counts.overflow))
-        if new_counts.any():
-            return CountsMatrix(
-                n_max=counts.n_max,
-                counts=new_counts,
-                shots=int(new_counts.sum()) + new_overflow,
-                overflow=new_overflow,
-            )
-    raise ValueError("resampling produced only empty histograms; counts are too sparse")
-
-
 def _draw_resamples(
     counts: CountsMatrix, n_resamples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -610,13 +556,25 @@ def _draw_resamples(
 
     Row 0 of the stacked counts and shots is the counts themselves, and row
     ``r + 1`` the resample drawn from its own stream ``(seed, r)``, so the
-    draws do not depend on execution order. The distances come from one
-    batched SVD; each is bitwise ``product_distance(singular_spectrum(
-    normalize(x)))`` of its resample ``x``.
+    draws do not depend on execution order: every cell and the overflow
+    drawn from Poisson around it, and the shots their sum. A draw with every
+    in-range cell empty has no spectrum, so it is drawn again, at most 100
+    times in all. The distances come from one batched SVD; each is bitwise
+    ``product_distance(singular_spectrum(normalize(x)))`` of its resample ``x``.
     """
-    draws = [counts] + [poisson_resample(counts, _stream_rng(seed, r)) for r in range(n_resamples)]
-    stacked = np.stack([x.counts for x in draws])
-    shots = np.array([x.shots for x in draws])
+    stacked = np.empty((n_resamples + 1, *counts.counts.shape), dtype=np.int64)
+    overflow = np.empty(n_resamples + 1, dtype=np.int64)
+    stacked[0], overflow[0] = counts.counts, counts.overflow
+    for r in range(1, n_resamples + 1):
+        rng = _stream_rng(seed, r - 1)
+        for _ in range(100):
+            stacked[r] = rng.poisson(counts.counts)
+            overflow[r] = rng.poisson(counts.overflow)
+            if stacked[r].any():
+                break
+        else:
+            raise ValueError("resampling produced only empty histograms; counts are too sparse")
+    shots = stacked.sum(axis=(1, 2)) + overflow
     distances = _tail_norms(_normalized_spectra(stacked[1:] / shots[1:, None, None]))
     return stacked, shots, distances
 

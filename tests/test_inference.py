@@ -30,8 +30,9 @@ from photoncorr import (
     singular_spectrum,
     thermal_pmf,
 )
+from photoncorr.detector import _after_loss_pass
 from photoncorr.distributions import _thermal_probs
-from photoncorr.inference import fit_counts, poisson_resample
+from photoncorr.inference import fit_counts
 from photoncorr.montecarlo import _stream_rng, total_variation
 
 from conftest import FIT_DET_H, FIT_DET_V, PAPER_DET_H, PAPER_DET_V
@@ -203,28 +204,43 @@ class TestStage1Jacobian:
     @pytest.mark.parametrize("longer", [False, True], ids=["n_out-short", "n_out-long"])
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        mean=st.floats(min_value=0.01, max_value=10.0),
-        dark=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
-        xtalk=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.45)),
+        means=st.tuples(*[st.floats(min_value=0.01, max_value=10.0)] * 2),
+        darks=st.tuples(*[st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0))] * 2),
+        xtalks=st.tuples(*[st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.45))] * 2),
         n_model=st.integers(min_value=2, max_value=40),
         offset=st.integers(min_value=1, max_value=20),
     )
-    def test_matches_finite_differences(self, longer, mean, dark, xtalk, n_model, offset):
-        # The marginal is built on the output range alone. Where that is
-        # shorter than the oracle's model range, the oracle's longer thermal
-        # adds only zero columns of the channel, so the two agree to rounding.
+    def test_matches_finite_differences(self, longer, means, darks, xtalks, n_model, offset):
+        # Both modes go through one pass with different parameters, so a
+        # mode mixed up along its leading axis fails. The marginals are
+        # built on the output range alone. Where that is shorter than the
+        # oracle's model range, the oracle's longer thermal adds only zero
+        # columns of the channel, so the two agree to rounding.
+        modes = list(zip(means, darks, xtalks))
+        assume(modes[0] != modes[1])
         n_out = n_model + offset if longer else max(n_model - offset, 1)
         n_model = max(n_model, n_out)
-        x = [mean, dark, xtalk]
-        marginal, jac = inference._detected_marginal_jacobian(*x, n_out)
-        assert jac.shape == (n_out + 1, 3)
-        np.testing.assert_allclose(
-            marginal, detected_marginal(*x, n_model, n_out), rtol=1e-14, atol=1e-300
-        )
-        for k in range(3):
+        channels, marginals, jac = _after_loss_pass(means, darks, xtalks, n_out)
+        assert channels.shape == (2, n_out + 1, n_out + 1) and jac.shape == (2, n_out + 1, 3)
+        oracle = [detected_marginal(*x, n_model, n_out) for x in modes]
+        for mode, x in enumerate(modes):
             np.testing.assert_allclose(
-                jac[:, k], self._finite_difference(x, k, n_model, n_out), rtol=0.0, atol=1e-7
+                channels[mode], after_loss_channel(*x[1:], n_out), rtol=1e-14, atol=1e-300
             )
+            np.testing.assert_allclose(marginals[mode], oracle[mode], rtol=1e-14, atol=1e-300)
+            for k in range(3):
+                np.testing.assert_allclose(
+                    jac[mode, :, k], self._finite_difference(x, k, n_model, n_out),
+                    rtol=0.0, atol=1e-7,
+                )
+        # Stage 2's product term: the pass at stage 1's parameters, in the
+        # order of Stage1Result's fields, then the outer product.
+        stage1 = Stage1Result(*means, *darks, *xtalks, 0.0)
+        params = np.array([getattr(stage1, key) for key in STAGE1_PARAMETERS]).reshape(3, 2)
+        _, marginals, _ = _after_loss_pass(*params, n_out)
+        np.testing.assert_allclose(
+            np.outer(*marginals), np.outer(*oracle), rtol=1e-14, atol=1e-300
+        )
 
 
 def _bench_seed(seed):
@@ -280,6 +296,22 @@ class TestStage1Solver:
                 assert got == pytest.approx(want, rel=1e-6), key
         assert s1.residual == pytest.approx(reference.residual, rel=1e-12)
         assert s1.evaluations == len(trace) <= 30
+
+    @pytest.mark.parametrize("name", list(SOLVER_INPUTS))
+    def test_swapping_modes_swaps_parameters(self, name):
+        # Every evaluation runs both modes through one stacked pass, so a
+        # mode mixed up in it shows as h and v parameters that do not trade
+        # places when the histogram is transposed.
+        counts, config = _solver_input(name)
+        swapped = CountsMatrix(counts.n_max, counts.counts.T, counts.shots, counts.overflow)
+        s1, s1_t = fit_stage1(counts, config), fit_stage1(swapped, config)
+        other = {key: key[:-1] + ("v" if key.endswith("h") else "h") for key in STAGE1_PARAMETERS}
+        for key in STAGE1_PARAMETERS:
+            if key in s1.at_bound:
+                assert getattr(s1_t, other[key]) == getattr(s1, key) == 0.0, key
+            else:
+                assert getattr(s1_t, other[key]) == pytest.approx(getattr(s1, key), rel=1e-6), key
+        assert sorted(s1_t.at_bound) == sorted(other[key] for key in s1.at_bound)
 
     def test_reports_dark_count_on_bound(self):
         # At criterion 4's g = 0.06 input, the best dark mean of mode h is
@@ -524,6 +556,28 @@ def resample_batch(counts, n_resamples, seed, stage1, config):
     return inference._fit_stage2_batch(stacked, shots, stage1, config)
 
 
+def poisson_resample(counts: CountsMatrix, rng: np.random.Generator) -> CountsMatrix:
+    """The reference draw of one bootstrap resample.
+
+    Every cell (and the overflow) is replaced with a Poisson draw around
+    it. The total number of shots is not conserved; it is recomputed from
+    the resampled counts, matching the assumption of independent
+    Poissonian cell noise. A draw whose in-range cells are all empty has
+    no spectrum, so it is drawn again, at most 100 times in all.
+    """
+    for _ in range(100):
+        new_counts = rng.poisson(counts.counts)
+        new_overflow = int(rng.poisson(counts.overflow))
+        if new_counts.any():
+            return CountsMatrix(
+                n_max=counts.n_max,
+                counts=new_counts,
+                shots=int(new_counts.sum()) + new_overflow,
+                overflow=new_overflow,
+            )
+    raise ValueError("resampling produced only empty histograms; counts are too sparse")
+
+
 def resample_by_the_total(counts, rng):
     """``poisson_resample``'s draw under a rule that redraws only while the
     total, overflow included, is zero: the cells and the overflow, or None."""
@@ -618,16 +672,19 @@ class TestBootstrap:
     def test_resample_redraws_only_empty_cells(self, cells, overflow, seed):
         # Wherever a rule that redraws only an empty total would keep a
         # draw with in-range counts, the resample is that draw; where it
-        # would keep one with overflow alone, the resample has counts.
+        # would keep one with overflow alone, the resample has counts. The
+        # stacked draw redraws as the reference does.
         cells = np.array(cells).reshape(2, 2)
         assume(cells.any())
         counts = CountsMatrix(1, cells, int(cells.sum()) + overflow, overflow)
+        stacked, shots, _ = inference._draw_resamples(counts, 5, seed)
         for r in range(5):
             old = resample_by_the_total(counts, _stream_rng(seed, r))
             new = poisson_resample(counts, _stream_rng(seed, r))
             assert new.counts.any()
             if old is not None and old[0].any():
                 assert new.counts.tolist() == old[0].tolist() and new.overflow == old[1]
+            assert stacked[r + 1].tolist() == new.counts.tolist() and shots[r + 1] == new.shots
 
     def test_distance_error_is_that_of_the_resamples(self):
         # A sparse histogram with overflow.
@@ -704,8 +761,8 @@ class TestStage2Terms:
         stage1 = Stage1Result(detected_h, detected_v, *darks, *xtalks, 0.0)
         lo, hi = inference._log_mean_range(stage1)
         log_means = lo + np.array(fractions) * (hi - lo)
-        after_loss = [after_loss_channel(dark, xtalk, n_out) for dark, xtalk in zip(darks, xtalks)]
-        product = inference._product_term(stage1, after_loss)
+        after_loss, marginals, _ = _after_loss_pass((detected_h, detected_v), darks, xtalks, n_out)
+        product = np.outer(*marginals)
         correlated = inference._correlated_term(stage1, log_means, after_loss)
         assert correlated.shape == (log_means.size, n_out + 1, n_out + 1)
         for u, got in zip(log_means, correlated):
@@ -810,12 +867,13 @@ class TestStage2Batch:
             np.testing.assert_array_equal(best, want)
 
     def test_term_builds_do_not_grow_with_resamples(self, monkeypatch):
-        # A batch builds the product term once, and the correlated term once
-        # per pass: one over the grid, one probe pass if any row's grid
-        # minimum is an end of the range, then one per Brent step of the row
-        # that takes the most, whatever the number of rows. A row's Brent
-        # passes are its passes alone less its probe, if it starts on an end.
-        # On "bench-1" the rows differ in their Brent passes.
+        # A batch builds the product term and the after-loss channels in one
+        # two-mode pass, and the correlated term once per pass: one over the
+        # grid, one probe pass if any row's grid minimum is an end of the
+        # range, then one per Brent step of the row that takes the most,
+        # whatever the number of rows. A row's Brent passes are its passes
+        # alone less its probe, if it starts on an end. On "bench-1" the rows
+        # differ in their Brent passes.
         counts, config = _solver_input("bench-1")
         stage1 = fit_stage1(counts, config)
         calls, values = [], []
@@ -827,9 +885,9 @@ class TestStage2Batch:
 
             return wrapper
 
-        product, correlated = inference._product_term, inference._correlated_term
+        two_mode_pass, correlated = inference._after_loss_pass, inference._correlated_term
         keep = inference._keep_first_best
-        monkeypatch.setattr(inference, "_product_term", counting(product))
+        monkeypatch.setattr(inference, "_after_loss_pass", counting(two_mode_pass))
         monkeypatch.setattr(inference, "_correlated_term", counting(correlated))
         monkeypatch.setattr(
             inference, "_keep_first_best",
@@ -853,7 +911,7 @@ class TestStage2Batch:
             calls.clear()
             resample_batch(counts, n_resamples, 3, stage1, config)
             assert calls.count(correlated) == 1 + any(on_end) + max(passes), n_resamples
-            assert calls.count(product) == 1, n_resamples
+            assert calls.count(two_mode_pass) == 1, n_resamples
 
     def test_search_takes_few_evaluations(self):
         # On this smooth one-minimum profile the parabolic steps reach the

@@ -18,7 +18,7 @@ from photoncorr.io import (
     write_json,
 )
 
-from conftest import PAPER_DET_H, PAPER_DET_V
+from conftest import FIT_DET_H, FIT_DET_V, PAPER_DET_H, PAPER_DET_V
 
 
 def _not_json(constant):
@@ -263,6 +263,14 @@ class TestMeasureCommand:
         assert main(["measure", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 4
 
 
+def assert_bounds_printed(result, printed):
+    """The printed line names every parameter ``fit.json`` has on a bound,
+    stage 1's as ``stage1.<name>``, and says "on a bound" only then."""
+    held = result["at_bound"] + [f"stage1.{name}" for name in result["stage1"]["at_bound"]]
+    assert ("on a bound" in printed) == bool(held)
+    assert all(name in printed for name in held)
+
+
 class TestFitCommand:
     def make_counts_file(self, tmp_path):
         config = write_config(tmp_path / "config.json", shots=100_000)
@@ -293,7 +301,7 @@ class TestFitCommand:
         assert set(result["at_bound"]) <= {"mean_photons", "correlation"}
         printed = capsys.readouterr().out
         assert f"nu={result['nu']:.4f}" in printed
-        assert ("on a bound" in printed) == bool(result["at_bound"])
+        assert_bounds_printed(result, printed)
         assert set(result["stage1"]) == {
             "detected_mean_h", "detected_mean_v", "dark_h", "dark_v", "xtalk_h", "xtalk_v",
             "residual", "evaluations", "at_bound",
@@ -306,6 +314,22 @@ class TestFitCommand:
         manifest = read_json(out / "fit_manifest.json")
         assert manifest["command"] == "fit"
         assert set(manifest["config"]["fit"]) == {"max_iterations", "convergence_tol"}
+
+    def test_names_stage1_parameters_on_a_bound(self, tmp_path, capsys):
+        # At criterion 4's g = 0.06 input, stage 1 holds dark_h on 0 and
+        # stage 2 ends inside its range.
+        counts = simulate(
+            SimConfig(SourceParams(4.1, 0.06), FIT_DET_H, FIT_DET_V, 10 ** 6, 601, 34)
+        )
+        counts_path = tmp_path / "counts.csv"
+        write_counts(counts, str(counts_path))
+        out = tmp_path / "fit"
+        assert main(["fit", str(counts_path), "--out", str(out)]) == 0
+        result = read_json(out / "fit.json")
+        assert result["at_bound"] == [] and result["stage1"]["at_bound"] == ["dark_h"]
+        printed = capsys.readouterr().out
+        assert "(on a bound: stage1.dark_h)" in printed
+        assert_bounds_printed(result, printed)
 
     def test_manifest_fit_block_round_trip(self, tmp_path):
         # The manifest's resolved fit block reruns the same fit.
