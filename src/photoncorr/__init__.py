@@ -37,7 +37,7 @@ from .measures import (
     ratio_matrix,
     singular_spectrum,
 )
-from .montecarlo import CountsMatrix, SimConfig, detect_count, normalize, sample_pair, simulate
+from .montecarlo import CountsMatrix, SimConfig, normalize, simulate
 from .inference import (
     FitConfig,
     FitConvergenceError,
@@ -72,7 +72,6 @@ __all__ = [
     "correlation_report",
     "crosstalk_matrix",
     "dark_matrix",
-    "detect_count",
     "fit_counts",
     "fit_stage1",
     "fit_stage2",
@@ -86,7 +85,6 @@ __all__ = [
     "product_distance",
     "ratio_matrix",
     "reconstruct",
-    "sample_pair",
     "simulate",
     "singular_spectrum",
     "thermal_pmf",

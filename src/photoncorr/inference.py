@@ -94,7 +94,8 @@ class FitConfig:
     it meets the budget exactly when its fit alone does.
     ``convergence_tol`` is the relative tolerance at which the solvers
     stop: stage 1 when a step lowers the objective, or moves the
-    parameters, by less than this fraction; stage 2 when its bracket on
+    parameters, by less than this fraction, or a rejected step raises
+    the objective by no more than it; stage 2 when its bracket on
     ``log(mean)`` is no wider than the square root of it (the objective
     is quadratic near a minimum).
     """
@@ -192,10 +193,13 @@ def _levenberg_marquardt(evaluate, x, lower, upper, config: FitConfig):
     the objective, and rises tenfold after a rejected one. The loop stops
     after an accepted step that lowers the objective by at most
     ``convergence_tol`` relative, or moves ``x`` by at most
-    ``convergence_tol (convergence_tol + |x|)``. Returns ``x``, its
-    objective, the number of evaluations, and the mask of the parameters
-    held on a bound there. Raises FitConvergenceError once
-    ``max_iterations`` evaluations are spent.
+    ``convergence_tol (convergence_tol + |x|)``. It also stops, at the
+    current ``x``, after a rejected step that raises the objective by at
+    most ``convergence_tol`` relative: the objective is then at its
+    rounding floor, where retrying with more damping only chases the
+    last bits. Returns ``x``, its objective, the number of evaluations,
+    and the mask of the parameters held on a bound there. Raises
+    FitConvergenceError once ``max_iterations`` evaluations are spent.
     """
     tol = config.convergence_tol
     r, jac = evaluate(x)
@@ -220,6 +224,8 @@ def _levenberg_marquardt(evaluate, x, lower, upper, config: FitConfig):
         evaluations += 1
         f_trial = float(r_trial @ r_trial)
         if f_trial > fval:
+            # A rise within the tolerance is rounding noise: x is at the floor.
+            converged = f_trial - fval <= tol * fval
             damping *= 10.0
             continue
         converged = (

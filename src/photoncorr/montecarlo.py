@@ -123,13 +123,6 @@ def _add_checked(m: np.ndarray, where, draws: np.ndarray) -> None:
     m[where] = total
 
 
-def _check_mean(name: str, value: float) -> None:
-    if value > _MAX_MEAN:
-        raise ValueError(
-            f"{name} must be <= 2**20 for the Monte Carlo's int32 counts, got {value}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class CountsMatrix:
     """Raw event counts per (n_h, n_v) cell from a counting acquisition.
@@ -188,9 +181,13 @@ class SimConfig:
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if (self.n_max + 2) ** 2 > 2 ** 31:
             raise ValueError(f"n_max must be <= 46338 for int32 cell indices, got {self.n_max}")
-        _check_mean("mean_photons", self.source.mean_photons)
-        _check_mean("det_h.dark_mean", self.det_h.dark_mean)
-        _check_mean("det_v.dark_mean", self.det_v.dark_mean)
+        for name, value in (("mean_photons", self.source.mean_photons),
+                            ("det_h.dark_mean", self.det_h.dark_mean),
+                            ("det_v.dark_mean", self.det_v.dark_mean)):
+            if value > _MAX_MEAN:
+                raise ValueError(
+                    f"{name} must be <= 2**20 for the Monte Carlo's int32 counts, got {value}"
+                )
 
 
 def _thermal_into(out: np.ndarray, mean: float, rng: np.random.Generator) -> None:
@@ -357,37 +354,21 @@ def _blocks(size: int):
         yield slice(start, stop), stop - start
 
 
-def sample_pair(
-    source: SourceParams, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``size`` photon-number pairs from the source mixture.
+def _sample_pair_into(
+    n_h: np.ndarray, n_v: np.ndarray, source: SourceParams, rng: np.random.Generator
+) -> None:
+    """Fill the signed integer buffers ``n_h`` and ``n_v`` with photon-number pairs.
 
     With probability ``g`` the pulse comes from the correlated component
     (identical thermal numbers in both modes), otherwise the two modes
     are independent thermal draws. The draws come in this order: all
     component choices, all shared numbers, all of mode h's own numbers,
-    then all of mode v's. Returns two int32 arrays whatever the mean (the
-    Monte Carlo's own chunks take int8 or int16 where ``_count_dtype``
-    allows); the source mean must be at most ``2**20`` so that they stay
-    in range.
-    """
-    _check_mean("mean_photons", source.mean_photons)
-    n_h = np.empty(size, dtype=np.int32)
-    n_v = np.empty(size, dtype=np.int32)
-    _sample_pair_into(n_h, n_v, source, rng)
-    return n_h, n_v
-
-
-def _sample_pair_into(
-    n_h: np.ndarray, n_v: np.ndarray, source: SourceParams, rng: np.random.Generator
-) -> None:
-    """``sample_pair``'s draws, written into the signed integer buffers ``n_h`` and ``n_v``.
-
-    Each buffer holds other draws until its own replace them: ``n_h`` the
-    component choices (1 for correlated), ``n_v`` the shared numbers, and
-    then -1 where a shot still waits for mode v's own number. The merges
-    are arithmetic on 0/1 factors, which makes the same numbers as a
-    masked copy without its branch per element.
+    then all of mode v's. Each buffer holds other draws until its own
+    replace them: ``n_h`` the component choices (1 for correlated),
+    ``n_v`` the shared numbers, and then -1 where a shot still waits for
+    mode v's own number. The merges are arithmetic on 0/1 factors, which
+    makes the same numbers as a masked copy without its branch per
+    element.
     """
     mean = source.mean_photons
     for b, n in _blocks(n_h.size):
@@ -412,7 +393,10 @@ def _sample_pair_into(
 def _detect_in_place(m: np.ndarray, params: DetectorParams, rng: np.random.Generator) -> None:
     """Overwrite the 1-D integer buffer ``m`` of photon numbers with detected counts.
 
-    Loss, then darks, then crosstalk, each one full pass over the blocks.
+    Survivors of binomial loss plus Poisson dark counts give the fired
+    cells; each fired cell independently adds one extra count with the
+    crosstalk probability. Loss, then darks, then crosstalk, each one
+    full pass over the blocks.
     """
     for b, _ in _blocks(m.size):
         _binomial_into(m[b], params.efficiency, rng, add=False)
@@ -420,20 +404,6 @@ def _detect_in_place(m: np.ndarray, params: DetectorParams, rng: np.random.Gener
         _poisson_add(m[b], params.dark_mean, rng)
     for b, _ in _blocks(m.size):
         _binomial_into(m[b], params.crosstalk, rng, add=True)
-
-
-def detect_count(
-    n: np.ndarray, params: DetectorParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Push an array of true photon numbers through one detector, event by event.
-
-    Survivors of binomial loss plus Poisson dark counts give the fired
-    cells; each fired cell independently adds one extra count with the
-    crosstalk probability. Returns a new array; ``n`` is left unchanged.
-    """
-    m = np.array(n, dtype=np.int64)
-    _detect_in_place(m.reshape(-1), params, rng)  # a view: the copy is contiguous
-    return m
 
 
 def _stream_rng(seed: int, index: int) -> np.random.Generator:

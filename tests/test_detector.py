@@ -18,9 +18,9 @@ from photoncorr import (
     thermal_pmf,
     SourceParams,
 )
-from photoncorr.montecarlo import detect_count, total_variation
+from photoncorr.montecarlo import total_variation
 
-from conftest import PAPER_DET_H, PAPER_DET_V
+from conftest import PAPER_DET_H, PAPER_DET_V, detect_count
 
 
 class TestLossMatrix:

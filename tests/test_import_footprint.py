@@ -146,19 +146,6 @@ def test_every_module_import_is_used():
     assert unused == {}
 
 
-# Public names that stay without a caller in the package, the bench or the
-# acceptance criteria, each with its reason.
-UNCALLED_ON_PURPOSE = {
-    # The event-level detection reference that tests/test_detector.py
-    # compares the composed channel against.
-    "detect_count",
-    # The public source sampler, int32 whatever the means; the Monte Carlo's
-    # chunks fill their own buffers through the private helper it wraps, in
-    # int8, int16 or int32 as the means allow, one width up on a rerun.
-    "sample_pair",
-}
-
-
 def _resolve(value):
     """``(module, name)`` of a package function or class, else None."""
     module = getattr(value, "__module__", None) or ""
@@ -306,6 +293,5 @@ def test_every_public_name_has_a_caller():
     for path, module in sources:
         with open(path) as handle:
             read |= _references(handle.read(), module)
-    uncalled = sorted(f"{module}:{name}" for module, name in defined - read
-                      if name not in UNCALLED_ON_PURPOSE)
+    uncalled = sorted(f"{module}:{name}" for module, name in defined - read)
     assert uncalled == [], uncalled

@@ -298,6 +298,23 @@ class TestStage1Solver:
         assert s1.evaluations == len(trace) <= 30
 
     @pytest.mark.parametrize("name", list(SOLVER_INPUTS))
+    def test_evaluations_stable_in_the_last_bits(self, name, monkeypatch):
+        # Passes that differ from the package's only in the last bits of the
+        # marginals and the Jacobian stop within 2 evaluations of each
+        # other: near the optimum the loop stops at the objective's rounding
+        # floor instead of retrying on noise.
+        counts, config = _solver_input(name)
+        evaluations = []
+        for k in range(-3, 4):
+            def scaled(*args, scale=1.0 + k * 2.0 ** -52):
+                channels, marginals, jac = _after_loss_pass(*args)
+                return channels, marginals * scale, jac * scale
+
+            monkeypatch.setattr(inference, "_after_loss_pass", scaled)
+            evaluations.append(fit_stage1(counts, config).evaluations)
+        assert max(evaluations) - min(evaluations) <= 2 and max(evaluations) <= 20, evaluations
+
+    @pytest.mark.parametrize("name", list(SOLVER_INPUTS))
     def test_swapping_modes_swaps_parameters(self, name):
         # Every evaluation runs both modes through one stacked pass, so a
         # mode mixed up in it shows as h and v parameters that do not trade

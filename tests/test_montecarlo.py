@@ -16,10 +16,8 @@ from photoncorr import (
     SourceParams,
     apply_two_mode,
     compose_channel,
-    detect_count,
     mixture_joint,
     normalize,
-    sample_pair,
     simulate,
 )
 from photoncorr.montecarlo import (
@@ -31,7 +29,9 @@ from photoncorr.montecarlo import (
     _binomial_inversion,
     _chunk_at_width,
     _count_dtype,
+    _detect_in_place,
     _poisson_add,
+    _sample_pair_into,
     _simulate_chunk,
     _stream_rng,
     _thermal_into,
@@ -40,27 +40,64 @@ from photoncorr.montecarlo import (
 from photoncorr import montecarlo
 from photoncorr.io import counts_to_text
 
-from conftest import PAPER_DET_H, PAPER_DET_V, PAPER_MEAN
+from conftest import PAPER_DET_H, PAPER_DET_V, PAPER_MEAN, detect_count
+
+
+def _sample_pair(source, rng, size, dtype=np.int32):
+    """``size`` photon-number pairs drawn into fresh buffers of ``dtype``."""
+    n_h, n_v = np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
+    _sample_pair_into(n_h, n_v, source, rng)
+    return n_h, n_v
 
 
 class TestSamplePair:
     def test_full_correlation_equal_pairs(self, rng):
-        n_h, n_v = sample_pair(SourceParams(2.0, 1.0), rng, size=100_000)
+        n_h, n_v = _sample_pair(SourceParams(2.0, 1.0), rng, size=100_000)
         assert np.array_equal(n_h, n_v)
 
     def test_vacuum_source(self, rng):
-        n_h, n_v = sample_pair(SourceParams(0.0, 0.0), rng, size=1000)
+        n_h, n_v = _sample_pair(SourceParams(0.0, 0.0), rng, size=1000)
         assert not n_h.any() and not n_v.any()
 
-    def test_returns_int32(self, rng):
-        n_h, n_v = sample_pair(SourceParams(2.0, 0.5), rng, size=10)
-        assert n_h.dtype == n_v.dtype == np.int32
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        mean=st.sampled_from([0.0, 2.0, 5.0]) | st.floats(0.0, 5.0),
+        g=st.floats(0.0, 1.0),
+        detectors=st.lists(
+            st.builds(DetectorParams,
+                      efficiency=st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True),
+                      dark_mean=st.floats(0.0, 0.5),
+                      crosstalk=st.floats(0.0, 0.5, exclude_max=True)),
+            min_size=2, max_size=2),
+        size=st.sampled_from([1, _BLOCK_SHOTS - 1, _BLOCK_SHOTS, _BLOCK_SHOTS + 1])
+        | st.integers(1, 3 * _BLOCK_SHOTS),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_every_width_holds_the_int64_numbers(self, mean, g, detectors, size, seed):
+        # The source and detection passes from one stream make the same
+        # numbers, and leave the generator in the same state, in every
+        # buffer width as in int64. A width the counts do not fit raises
+        # _CountOverflow, and the Monte Carlo reruns its chunk one width up.
+        def run(dtype):
+            rng = _stream_rng(seed, 0)
+            pair = _sample_pair(SourceParams(mean, g), rng, size, dtype)
+            for m, det in zip(pair, detectors):
+                _detect_in_place(m, det, rng)
+            return [m.tolist() for m in pair], rng.bit_generator.state
+
+        want = run(np.int64)
+        for dtype in (np.int8, np.int16, np.int32):
+            try:
+                got = run(dtype)
+            except _CountOverflow:
+                continue
+            assert got == want, dtype
 
     def test_histogram_matches_mixture(self, rng):
         # Empirical pair histogram against the analytic mixture law.
         shots = 10 ** 6
         n_max = 14
-        n_h, n_v = sample_pair(SourceParams(1.0, 0.3), rng, size=shots)
+        n_h, n_v = _sample_pair(SourceParams(1.0, 0.3), rng, size=shots)
         keep = (n_h <= n_max) & (n_v <= n_max)
         flat = n_h[keep] * (n_max + 1) + n_v[keep]
         hist = np.bincount(flat, minlength=(n_max + 1) ** 2).reshape(n_max + 1, -1)
@@ -651,10 +688,6 @@ class TestInt32Limit:
     def test_above_limit_rejected_by_name(self, key, overrides):
         with pytest.raises(ValueError, match=key):
             self.config(**overrides)
-
-    def test_sample_pair_rejects_mean_above_limit(self, rng):
-        with pytest.raises(ValueError, match="mean_photons"):
-            sample_pair(SourceParams(2 ** 20 + 1, 0.5), rng, size=10)
 
     def test_cell_index_bounds_n_max(self):
         assert self.config(n_max=46338).n_max == 46338
