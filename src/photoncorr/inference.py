@@ -23,19 +23,24 @@ component, ``B`` the detected product), so ``g`` is profiled out in
 closed form and only the mean is searched (variable projection): a
 12-point log-spaced grid, then one Brent search (parabolic steps, with
 golden-section steps as the safeguard) in the bracket around the grid's
-lowest point, the first of ties. Where ``g`` clips to 0 at every mean
-the profile is flat and every grid point ties, so the search starts on
-the lower end. A search whose grid minimum is an end of the range first
-probes one point the stop width inside that end and ends on the end if
-the probe is no lower. At low efficiency most fits end on an end, and
-the probe stands in for their Brent steps, as it does for a flat
-profile's whole search: at the benchmark's seed-1 input a
-``fit --bootstrap 100`` builds the correlated term at 328 points, against
-1,669 for the Brent search alone. Neither term is cut off in photon
-number: ``B`` is the outer product of the detected marginals, and the
-after-loss channels ``A`` reads come from the same two-mode pass, once
-per fit at stage 1's final point; ``A`` is an all-positive recurrence
-on the histogram's range (``_correlated_term``).
+lowest point, the first of ties. The grid's values come from three sums
+per row (``_profiled_sums``); the search's points are summed cell by
+cell. Where ``g`` clips to 0 at every mean the profile is flat and every
+grid point ties, so the search starts on the lower end. A search whose
+grid minimum is an end of the range first probes one point the stop
+width inside that end and ends on the end if the probe is no lower; the
+probes are at most two distinct points, each built once. A Brent search
+ends when its bracket is no wider than the stop width, or when a new
+point is within ``convergence_tol`` of its best, the objective's
+rounding floor. At low efficiency most fits end on an end, and the probe
+stands in for their Brent steps, as it does for a flat profile's whole
+search: at the benchmark's seed-1 input a ``fit --bootstrap 100`` builds
+the correlated term in 11 passes at 147 points, against 1,669 points for
+the Brent search alone. Neither term is cut off in photon number: ``B``
+is the outer product of the detected marginals, and the after-loss
+channels ``A`` reads come from the same two-mode pass, once per fit at
+stage 1's final point; ``A`` is an all-positive recurrence on the
+histogram's range (``_correlated_term``).
 ``A`` does not depend on the histogram, so many histograms with one
 stage 1 are fitted in one batch: each step of the search builds it at
 the points of all of them in one vectorised pass. A batch takes the
@@ -97,7 +102,9 @@ class FitConfig:
     parameters, by less than this fraction, or a rejected step raises
     the objective by no more than it; stage 2 when its bracket on
     ``log(mean)`` is no wider than the square root of it (the objective
-    is quadratic near a minimum).
+    is quadratic near a minimum), or when a new point's objective is
+    within this fraction of the search's best. Both stages thus stop at
+    the objective's rounding floor.
     """
 
     max_iterations: int = 4000
@@ -359,6 +366,32 @@ def _keep_first_best(best, rows, values, g, log_means) -> None:
     best[:3, rows[improve]] = values[improve], g[improve], log_means[improve]
 
 
+def _profiled_sums(
+    weights: np.ndarray, target: np.ndarray, slopes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The profiled objective and ``g`` of every row at every slope, from sums.
+
+    ``weights`` and ``target`` are ``(rows, n, n)`` and ``slopes``
+    ``(points, n, n)``; both results are ``(rows, points)``. At slope ``S``
+    the objective ``sum w (g S - t)**2`` is ``c0 + g (g sum w S**2 - 2 sum w S t)``
+    with ``c0 = sum w t**2``, so a row needs ``c0`` once and two sums per
+    slope. Those come from one ``(1, cells) @ (cells, points)`` product per
+    row, so a row is bitwise the same in any batch. Where ``g`` clips to 0
+    the value is exactly ``c0``, the cell-by-cell value there. Elsewhere
+    ``c0`` and the objective cancel, so the value is good to about ``eps c0``,
+    not ``eps`` of itself.
+    """
+    rows = len(weights)
+    weighted_target = weights * target
+    c0 = (weighted_target * target).sum(axis=(-2, -1))
+    s = slopes.reshape(len(slopes), -1).T
+    curvature = (weights.reshape(rows, 1, -1) @ (s * s))[:, 0]
+    cross = (weighted_target.reshape(rows, 1, -1) @ s)[:, 0]
+    g = np.divide(cross, curvature, out=np.zeros_like(curvature), where=curvature > 0.0)
+    g = g.clip(0.0, 1.0)
+    return c0[:, None] + g * (g * curvature - 2.0 * cross), g
+
+
 def _fit_stage2_batch(
     counts: np.ndarray,
     shots: np.ndarray,
@@ -370,15 +403,17 @@ def _fit_stage2_batch(
 
     Returns every row's result as a ``(4, rows)`` array: the objective,
     ``g`` and ``log(mean)`` of its best point, and the number of points it
-    evaluated. Each pass of the search builds the model terms at one point
-    of every row still searching at once. A row's points, and the
-    arithmetic on them, do not depend on the others, so each row is
-    bitwise its fit alone. With one row, ``trace`` gets its best objective after every
-    evaluation. A row whose search has spent its budget and would need
-    another point leaves the search. Once the others are done,
-    FitConvergenceError names the lowest such row, with its best point,
-    as its fit alone would: row 0 is "the counts" and row ``k``
-    "resample k", the layout of ``fit_counts``.
+    evaluated. The grid's values come from ``_profiled_sums`` over all
+    rows at once. Each pass of the search builds the model terms at one
+    point of every row still searching at once; the end-probe pass builds
+    each of its distinct points once, and every row reads its own. A
+    row's points, and the arithmetic on them, do not depend on the others,
+    so each row is bitwise its fit alone. With one row, ``trace`` gets its
+    best objective after every evaluation. A row whose search has spent
+    its budget and would need another point leaves the search. Once the
+    others are done, FitConvergenceError names the lowest such row, with
+    its best point, as its fit alone would: row 0 is "the counts" and row
+    ``k`` "resample k", the layout of ``fit_counts``.
     """
     weights = _weights(counts)
     # Loss keeps a mode thermal, so the product term is whatever the mean.
@@ -390,8 +425,15 @@ def _fit_stage2_batch(
     best = np.full((4, len(counts)), math.inf)  # objective, g, log(mean), evaluations
     best[3] = 0.0
 
+    def record(rows, log_means, values, g):
+        # One point of each of ``rows``, in evaluation order.
+        if trace is not None:
+            trace.extend(np.minimum.accumulate(np.append(best[0, 0], values))[1:].tolist())
+        _keep_first_best(best, rows, values, g, log_means)
+        best[3, rows] += 1
+
     def evaluate(rows, log_means, slope):
-        """The objective at each point, minimized over g in closed form."""
+        """The objective at each point, minimized over g in closed form, cell by cell."""
         wr, t = weights[rows], target[rows]
         w_slope = wr * slope
         curvature = (w_slope * slope).sum(axis=(-2, -1))
@@ -401,10 +443,7 @@ def _fit_stage2_batch(
         ).clip(0.0, 1.0)
         diff = g[:, None, None] * slope - t
         values = (wr * diff * diff).sum(axis=(-2, -1))
-        if trace is not None:
-            trace.extend(np.minimum.accumulate(np.append(best[0, 0], values))[1:].tolist())
-        _keep_first_best(best, rows, values, g, log_means)
-        best[3, rows] += 1
+        record(rows, log_means, values, g)
         return values
 
     def probe(rows, log_means):
@@ -413,10 +452,10 @@ def _fit_stage2_batch(
 
     grid = np.linspace(*_log_mean_range(stage1), _MEAN_GRID_POINTS)
     every = np.arange(len(counts))
-    values = np.stack([
-        evaluate(every, np.full(every.size, u), slope)
-        for u, slope in zip(grid, _correlated_term(stage1, grid, after_loss) - product)
-    ], axis=1)
+    slopes = _correlated_term(stage1, grid, after_loss) - product
+    values, g = _profiled_sums(weights, target, slopes)
+    for j, u in enumerate(grid):
+        record(every, np.full(every.size, u), values[:, j], g[:, j])
     # One Brent search per row in the bracket around its grid minimum (the
     # first, on ties), started there; the rows' searches run in lockstep.
     # x is a search's best point, w its second best and v the previous w;
@@ -434,18 +473,24 @@ def _fit_stage2_batch(
     end = (k == 0) | (k == _MEAN_GRID_POINTS - 1)
     if end.any():
         step = np.minimum(4.0 * tol, 0.5 * (b[end] - a[end]))
-        fu = probe(rows[end], x[end] + np.where(k[end] == 0, step, -step))
+        u = x[end] + np.where(k[end] == 0, step, -step)
+        # The probes are at most two points, one inside each end: each is
+        # built once, and every row reads its own.
+        points, which = np.unique(u, return_inverse=True)
+        slopes = _correlated_term(stage1, points, after_loss) - product
+        fu = evaluate(rows[end], u, slopes[which])
         keep = ~end
         keep[end] = fu < fx[end]
         rows, a, b, x, fx = rows[keep], a[keep], b[keep], x[keep], fx[keep]
     w = v = x
     fw = fv = fx
     d = e = np.zeros(rows.size)
+    floor = np.zeros(rows.size, dtype=bool)
     # A row's own budget: the grid, then max_iterations points of its search.
     budget, spent = _MEAN_GRID_POINTS + config.max_iterations, []
     while True:
         mid = 0.5 * (a + b)
-        running = np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)
+        running = (np.abs(x - mid) > 2.0 * tol - 0.5 * (b - a)) & ~floor
         over = running & (best[3, rows] >= budget)
         spent += rows[over].tolist()
         running &= ~over
@@ -474,6 +519,10 @@ def _fit_stage2_batch(
         d = np.where(near_end, np.where(mid >= x, tol, -tol), d)
         u = x + np.copysign(np.maximum(np.abs(d), tol), d)
         fu = probe(rows, u)
+        # A new point within convergence_tol of the best, relative, is at the
+        # objective's rounding floor, where further steps compare noise: the
+        # search ends on its best point.
+        floor = np.abs(fu - fx) <= config.convergence_tol * fx
         # The bracket end on u's side of x moves to x if u is better, else to u.
         better = fu <= fx
         lower, end = better == (u >= x), np.where(better, x, u)
@@ -532,16 +581,20 @@ def fit_stage2(
     least-squares value clipped to [0, 1].
     The mean is searched in ``log(mean)``: the profile is evaluated on a
     log-spaced grid, and one Brent search starts at its lowest point (the
-    first of ties), in the bracket of its two neighbours. It steps to
-    the vertex of a parabola through three of its points where that is
-    safe, takes a golden-section step otherwise, and stops once its
-    bracket is no wider than ``sqrt(convergence_tol)``; the best point
-    seen is kept. A search that starts on an end of the range first
-    evaluates the point ``sqrt(convergence_tol)`` inside it (half-way to
-    the next grid point if that is nearer); if that point is no lower, the
-    minimum of the bracket lies within that width of the end, and the
-    search ends there with one evaluation. Nothing is cached between
-    fits. Raises FitConvergenceError if a search needs more than
+    first of ties), in the bracket of its two neighbours. The grid's
+    values come from three sums per histogram and grid point, one
+    matrix product for the whole grid; every later point is summed cell
+    by cell. The search steps to the vertex of a parabola through three
+    of its points where that is safe, takes a golden-section step
+    otherwise, and stops once its bracket is no wider than
+    ``sqrt(convergence_tol)``, or once a new point's objective is within
+    ``convergence_tol`` of its best, relative (the rounding floor); the
+    best point seen is kept. A search that starts on an end of the range
+    first evaluates the point ``sqrt(convergence_tol)`` inside it
+    (half-way to the next grid point if that is nearer); if that point is
+    no lower, the minimum of the bracket lies within that width of the
+    end, and the search ends there with one evaluation. Nothing is cached
+    between fits. Raises FitConvergenceError if a search needs more than
     ``max_iterations`` evaluations.
     """
     best = _fit_stage2_batch(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import photoncorr.inference as inference
 from photoncorr import (
@@ -882,6 +883,78 @@ class TestStage2Batch:
             sequential_first_best(want, rows, values, labels / 16.0, -labels)
             inference._keep_first_best(best, rows, values, labels / 16.0, -labels)
             np.testing.assert_array_equal(best, want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), rows=st.integers(1, 3), n=st.integers(1, 5), free=st.integers(1, 3))
+    def test_grid_sums_are_the_cell_by_cell_objective(self, data, rows, n, free):
+        # Positive weights 1/count, targets of either sign, and free slopes
+        # followed by three for row 0: zero (no curvature), -t (g clips to
+        # 0) and t/2 (g clips to 1).
+        grid = st.integers(-10 ** 6, 10 ** 6).map(lambda k: k * 1e-6)
+        inverse_count = st.integers(1, 10 ** 4).map(lambda k: 1.0 / k)
+        w = data.draw(hnp.arrays(float, (rows, n, n), elements=inverse_count))
+        t = data.draw(hnp.arrays(float, (rows, n, n), elements=grid))
+        free_slopes = data.draw(hnp.arrays(float, (free, n, n), elements=grid))
+        slopes = np.concatenate([free_slopes, [np.zeros((n, n)), -t[0], 0.5 * t[0]]])
+        values, g = inference._profiled_sums(w, t, slopes)
+        # The reference: g's least-squares value cell by cell, clipped to
+        # [0, 1], and the objective summed cell by cell there.
+        cross = (w[:, None] * slopes * t[:, None]).sum(axis=(-2, -1))
+        curvature = (w[:, None] * slopes * slopes).sum(axis=(-2, -1))
+        best_g = np.divide(cross, curvature, out=np.zeros_like(cross), where=curvature > 0.0)
+        diff = best_g.clip(0.0, 1.0)[..., None, None] * slopes - t[:, None]
+        direct = (w[:, None] * diff * diff).sum(axis=(-2, -1))
+        c0 = (w * t * t).sum(axis=(-2, -1))
+        assert g[0, free] == g[0, free + 1] == 0.0 and g[0, free + 2] == (c0[0] > 0.0)
+        # Where g clips to 0 the value is exactly c0, as the cell-by-cell
+        # value is: a flat profile's points tie.
+        zero = g == 0.0
+        assert (values[zero] == np.broadcast_to(c0[:, None], g.shape)[zero]).all()
+        # Inside (0, 1), c0 and the objective cancel, so the sums carry c0's
+        # rounding: they hold 1e-12 of the objective wherever it is at least
+        # a thousandth of c0. On the data c0 is 2 to 253 times the objective.
+        fair = direct >= 1e-3 * c0[:, None]
+        np.testing.assert_allclose(values[fair], direct[fair], rtol=1e-12, atol=0.0)
+
+    def test_floor_stop_leaves_no_lower_point(self, monkeypatch):
+        # A Brent search also ends when its new point is within
+        # convergence_tol of its best, relative: the objective's rounding
+        # floor. On "bench-1" and 40 resamples, every row that ends so has no
+        # lower point one stop width to either side, as
+        # test_no_lower_point_at_the_stop_width checks for one fit.
+        counts, config = _solver_input("bench-1")
+        stage1 = fit_stage1(counts, config)
+        values, keep = {}, inference._keep_first_best
+
+        def recording(best, rows, v, g, u):
+            for row, value in zip(rows.tolist(), v.tolist()):
+                values.setdefault(row, []).append(value)
+            keep(best, rows, v, g, u)
+
+        monkeypatch.setattr(inference, "_keep_first_best", recording)
+        stacked, shots, _ = inference._draw_resamples(counts, 40, 3)
+        best = inference._fit_stage2_batch(stacked, shots, stage1, config)
+        # Replay each row's search: it starts on its grid minimum, after the
+        # probe if that is an end, and its best before the last point is the
+        # lowest of the start and its earlier points.
+        points, floored = inference._MEAN_GRID_POINTS, []
+        for row, seen in values.items():
+            k = int(np.argmin(seen[:points]))
+            search = seen[points + (k in (0, points - 1)):]
+            if search:
+                fx = min(seen[k], *search[:-1])
+                if abs(search[-1] - fx) <= config.convergence_tol * fx:
+                    floored.append(row)
+        assert len(floored) >= 5, floored
+        width = math.sqrt(config.convergence_tol)
+        for row in floored:
+            x = CountsMatrix(
+                n_max=counts.n_max, counts=stacked[row], shots=int(shots[row]),
+                overflow=int(shots[row] - stacked[row].sum()),
+            )
+            for mean in math.exp(best[2, row]) * np.exp([-width, width]):
+                objective = profiled_objective(x, stage1, mean)
+                assert objective >= best[0, row] * (1.0 - 1e-12), row
 
     def test_term_builds_do_not_grow_with_resamples(self, monkeypatch):
         # A batch builds the product term and the after-loss channels in one
